@@ -162,13 +162,16 @@ def _select_branch(branch: str, geometry: Geometry) -> str:
 
 
 def _rows_for(zs: np.ndarray, geometry: Geometry, branch: str, tol: float,
-              si: bool, jobs: int, want_feature_note: bool = False):
-    """Rows of (z, E_ad, S_ad, F_ad, branch, l_max, err_est)."""
+              si: bool, jobs: int):
+    """Rows of (z, E_ad, S_ad, F_ad, branch, l_max, err_est), and the
+    determinant table at r on the numeric branch (else None)."""
     r = geometry.r
     l_max = 0
     err = 0.0
+    table = None
     if branch == "numeric":
         curve = thermo.build_thermo_curve(r, zs, branch="numeric", tol=tol)
+        table = curve.table
         e_arr, s_arr, f_arr = curve.e_ad, curve.s_ad, curve.f_ad
         l_max = int(curve.diff_step_policy.get("l_max", 0))
         err = tol
@@ -215,7 +218,7 @@ def _rows_for(zs: np.ndarray, geometry: Geometry, branch: str, tol: float,
                         "F_ad": float(f_arr[i])})
         row.update({"branch": branch, "l_max": int(l_max), "err_est": err})
         rows.append(row)
-    return rows
+    return rows, table
 
 
 def _fmt(v) -> str:
@@ -331,11 +334,12 @@ def main(argv: list[str] | None = None) -> int:
         branch = _select_branch(args.branch, geometry)
         if args.units == "si" and geometry.d == 1.0 and args.r is not None:
             raise ValueError("SI output needs SI geometry (--R and --d/--ell)")
-        rows = _rows_for(zs, geometry, branch, args.tol,
-                         si=args.units == "si", jobs=args.jobs)
+        rows, table = _rows_for(zs, geometry, branch, args.tol,
+                                si=args.units == "si", jobs=args.jobs)
         notes = []
         if args.mode == "sweep" and branch == "numeric":
-            rep = thermo.scan_entropy_features(geometry.r, zs, tol=args.tol)
+            rep = thermo.scan_entropy_features(geometry.r, zs, tol=args.tol,
+                                               table=table)
             notes.append(
                 f"feature report: has_negative_interval={rep.has_negative_interval}"
                 f" interval={rep.interval} min_S_over_Scl={rep.min_S_over_Scl:.6g}"

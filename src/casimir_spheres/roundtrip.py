@@ -16,9 +16,12 @@ float64 range for all gap sizes: the (kappa d)^{l-l'} power divergences and
 the (kappa R)^{2l+1} T-matrix underflows cancel entry-wise, and the only
 exponential left is the physical gap decay exp(-2 kappa ell), applied once.
 
-Entries are assembled in log magnitude + sign; on arguments where the
-scaled radial ladder fits in float64 directly, a fast dense contraction
-over the whole batch of frequencies is used instead.
+The cancellation holds for the entries, not for the single p-terms that
+sum to them.  The p-sum of entry (l, l') ends at P = l + l' + 1, so every
+term is scaled by k_p / k_P <= 1 before it is summed and k_P is restored in
+a prefactor that is formed in the log domain.  Entries with equal P lie on
+one anti-diagonal; each anti-diagonal is one matrix product over the whole
+batch of frequencies, for every kappa and l_max alike.
 """
 
 from __future__ import annotations
@@ -63,71 +66,56 @@ def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
     """Scaled symmetrised blocks ``A~`` for one m over a frequency batch.
 
     ``lt_m``, ``lt_e`` are log|T e^{-2y}| ladders of shape (nq, l_max).
-    Returns a stack (nq, 2n, 2n).  Frequencies whose scaled radial ladder
-    fits float64 use a dense contraction; for the rest (small kappa*d with
-    many multipoles) the T-weighting is combined with the p-sums entirely
-    in the log domain, where the power divergences cancel.
+    Returns a stack (nq, 2n, 2n).  The p-sum of entry (l, l') ends at
+    P = l + l' + 1 and k_p increases with p, so each p-term scaled by
+    k_p / k_P is at most |G|.  The entries of one anti-diagonal share P and
+    are contracted by one matmul over the whole batch; k_P comes back in
+    the prefactor exp(lth_l + lth_l' + log k_P), whose exponent is summed
+    before it is exponentiated (docs/derivations.md, section 1).
     """
     from .specfun import log_khat_spherical_ladder_vec
 
     ga, gb = translation.coupling_tensors(m, l0, l_max)
     p_len = ga.shape[2]
-    log_khat = log_khat_spherical_ladder_vec(p_len - 1, q)
     ps = np.arange(p_len)
-    rad_log = (math.log(math.pi / 2.0) + log_khat
+    # log(k_p(x) e^x) for p = 0..p_len-1
+    rad_log = (math.log(math.pi / 2.0)
+               + log_khat_spherical_ladder_vec(p_len - 1, q)
                - (ps + 1.0)[None, :] * np.log(q)[:, None])
 
     nq = q.shape[0]
     n = l_max - l0 + 1
+    # scaled p-sums packed by anti-diagonal s = i + j, with P = 2 l0 + 1 + s:
+    # diag[:, 0, s, k] is the preserving, diag[:, 1, s, k] the mixing sum of
+    # the k-th pair (i, s - i) on it
+    diag = np.zeros((nq, 2, 2 * n - 1, n))
+    for s in range(2 * n - 1):
+        i = np.arange(max(0, s - n + 1), min(s, n - 1) + 1)
+        big_p = 2 * l0 + 1 + s
+        ref = rad_log[:, big_p, None]
+        # the 3j selection rules put GA on p = P-1, P-3, ... and GB on P, P-2, ...
+        diag[:, 0, s, :i.size] = (np.exp(rad_log[:, big_p - 1::-2] - ref)
+                                  @ ga[i, s - i, big_p - 1::-2].T)
+        if m:
+            diag[:, 1, s, :i.size] = (np.exp(rad_log[:, big_p::-2] - ref)
+                                      @ gb[i, s - i, big_p::-2].T)
+
+    # unpack into [[same, cross], [cross, same]]; np.take keeps the
+    # frequency axis outermost in memory, as the batched matmuls want it
+    ls = np.arange(n)
+    s_ij = ls[:, None] + ls[None, :]
+    same = s_ij * n + ls[:, None] - np.maximum(0, s_ij - n + 1)
+    cross = same + (2 * n - 1) * n
+    at = np.take(diag.reshape(nq, -1),
+                 np.block([[same, cross], [cross, same]]), axis=1)
+    del diag
+
     sl = slice(l0 - 1, l_max)
-    lth = np.empty((nq, 2 * n))
-    lth[:, :n] = 0.5 * lt_m[:, sl]
-    lth[:, n:] = 0.5 * lt_e[:, sl]
-
-    with np.errstate(divide="ignore"):
-        lng_max = float(np.max(np.log(np.abs(ga) + 1e-320)))
-    fast = np.max(rad_log, axis=1) + lng_max < 690.0
-
-    at = np.empty((nq, 2 * n, 2 * n))
-    if np.any(fast):
-        kt = np.exp(rad_log[fast])
-        same = np.einsum("ijp,qp->qij", ga, kt)
-        cross = np.einsum("ijp,qp->qij", gb, kt)
-        blk = at[fast]
-        blk[:, :n, :n] = same
-        blk[:, :n, n:] = cross
-        blk[:, n:, :n] = cross
-        blk[:, n:, n:] = same
-        th = np.exp(lth[fast])
-        blk *= th[:, :, None]
-        blk *= th[:, None, :]
-        at[fast] = blk
-    if np.any(~fast):
-        with np.errstate(divide="ignore"):
-            lga = np.log(np.abs(ga))
-            lgb = np.log(np.abs(gb))
-        sga = np.sign(ga)
-        sgb = np.sign(gb)
-        for iq in np.nonzero(~fast)[0]:
-            quad = {}
-            for key, g_log, g_sgn in (("s", lga, sga), ("c", lgb, sgb)):
-                t = g_log + rad_log[iq][None, None, :]
-                mm = np.max(t, axis=2)
-                ok = np.isfinite(mm)
-                ex = np.exp(t - np.where(ok, mm, 0.0)[:, :, None],
-                            where=np.isfinite(t), out=np.zeros_like(t))
-                red = np.sum(g_sgn * ex, axis=2)
-                with np.errstate(divide="ignore"):
-                    quad[key] = (np.where(ok, mm + np.log(np.abs(red)), -np.inf),
-                                 np.sign(red))
-            lu = np.empty((2 * n, 2 * n))
-            su = np.empty((2 * n, 2 * n))
-            for (i0, j0), key in ((( 0, 0), "s"), ((0, n), "c"),
-                                  ((n, 0), "c"), ((n, n), "s")):
-                lu[i0:i0 + n, j0:j0 + n] = quad[key][0]
-                su[i0:i0 + n, j0:j0 + n] = quad[key][1]
-            ln_at = lth[iq][:, None] + lu + lth[iq][None, :]
-            at[iq] = np.where(np.isfinite(ln_at), su * np.exp(ln_at), 0.0)
+    lth = 0.5 * np.concatenate([lt_m[:, sl], lt_e[:, sl]], axis=1)
+    expo = np.take(rad_log, 2 * l0 + 1 + np.tile(s_ij, (2, 2)), axis=1)
+    expo += lth[:, :, None]
+    expo += lth[:, None, :]
+    at *= np.exp(expo, out=expo)
     return at
 
 

@@ -52,7 +52,11 @@ class EntropyFeatureReport:
 
 @dataclass(frozen=True)
 class ThermoCurve:
-    """Sampled (z, E_ad, S_ad, F_ad) curve with provenance."""
+    """Sampled (z, E_ad, S_ad, F_ad) curve with provenance.
+
+    ``table`` is the determinant table at r of a numeric curve, kept so that
+    later scans at the same (r, tol) need not rebuild it.
+    """
 
     r: float
     z: np.ndarray
@@ -61,6 +65,8 @@ class ThermoCurve:
     f_ad: np.ndarray
     method: str
     diff_step_policy: dict = field(default_factory=dict)
+    table: DeterminantTable | None = field(default=None, repr=False,
+                                           compare=False)
 
 
 def _richardson4(f, x: float, h: float) -> DerivativeEstimate:
@@ -319,6 +325,7 @@ def build_thermo_curve(r: float, z_grid: np.ndarray, branch: str = "numeric",
     if np.any(np.diff(z_grid) <= 0):
         raise ValueError("z grid must be strictly increasing")
     policy: dict = {"branch": branch}
+    tab = None
     if branch == "asymptotic":
         e = np.array([float(asymptotics.e_ad(z)) for z in z_grid])
         s = np.array([float(asymptotics.s_ad(z)) for z in z_grid])
@@ -355,4 +362,4 @@ def build_thermo_curve(r: float, z_grid: np.ndarray, branch: str = "numeric",
     else:
         raise ValueError("branch must be 'numeric', 'asymptotic' or 'pfa'")
     return ThermoCurve(r=r, z=z_grid, e_ad=e, s_ad=s, f_ad=f, method=branch,
-                       diff_step_policy=policy)
+                       diff_step_policy=policy, table=tab)

@@ -63,7 +63,7 @@ def wigner3j_000(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray) -> np.ndarray:
 
     Uses the single-term closed form (no alternating sum, so no
     cancellation); zero whenever l1+l2+l3 is odd or the triangle rule
-    fails.
+    fails.  The log-factorials are gathered from one table.
     """
     l1 = np.asarray(l1, dtype=np.int64)
     l2 = np.asarray(l2, dtype=np.int64)
@@ -71,13 +71,14 @@ def wigner3j_000(l1: np.ndarray, l2: np.ndarray, l3: np.ndarray) -> np.ndarray:
     J = l1 + l2 + l3
     ok = ((J % 2 == 0) & (l3 >= np.abs(l1 - l2)) & (l3 <= l1 + l2)
           & (l1 >= 0) & (l2 >= 0) & (l3 >= 0))
-    s = np.where(ok, J // 2, 0)
+    J = np.where(ok, J, 0)
+    s = J // 2
     a = np.where(ok, s - l1, 0)
     b = np.where(ok, s - l2, 0)
     c = np.where(ok, s - l3, 0)
-    logw = (0.5 * (gammaln(2 * a + 1) + gammaln(2 * b + 1) + gammaln(2 * c + 1)
-                   - gammaln(J + 2))
-            + gammaln(s + 1) - gammaln(a + 1) - gammaln(b + 1) - gammaln(c + 1))
+    lf = gammaln(np.arange(np.max(J, initial=0) + 2) + 1.0)  # log k!
+    logw = (0.5 * (lf[2 * a] + lf[2 * b] + lf[2 * c] - lf[J + 1])
+            + lf[s] - lf[a] - lf[b] - lf[c])
     sign = np.where(s % 2 == 0, 1.0, -1.0)
     return np.where(ok, sign * np.exp(logw), 0.0)
 

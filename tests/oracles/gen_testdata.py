@@ -79,10 +79,17 @@ def gen_determinant():
         {"r": 0.45, "q": 1.0, "l_max": 12, "m_values": [3]},
         {"r": 0.4, "q": 0.02, "l_max": 10, "m_values": [0]},
         {"r": 0.4, "q": 8.0, "l_max": 10, "m_values": [1]},
+        # near-static with many multipoles, where the unscaled p-sum terms
+        # leave the float64 range; the unscaled N spans so many decades that
+        # its LU needs extra digits (the l_max 40 case gives -inf at 100)
+        {"r": 0.45, "q": 1e-3, "l_max": 32, "m_values": [10], "dps": 100},
+        {"r": 0.45, "q": 1e-3, "l_max": 32, "m_values": [20], "dps": 100},
+        {"r": 0.45, "q": 1e-2, "l_max": 40, "m_values": [1], "dps": 200},
     ]
     for spec in specs:
-        val = logdet_oracle(spec["r"], spec["q"], spec["l_max"],
-                            m_values=spec["m_values"])
+        with mp.workdps(spec.get("dps", mp.mp.dps)):
+            val = logdet_oracle(spec["r"], spec["q"], spec["l_max"],
+                                m_values=spec["m_values"])
         cases.append({**spec, "value": mp.nstr(val, 25)})
         print("  det case done:", spec)
     payload = {"schema": SCHEMA, "digits": 25,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from casimir_spheres import roundtrip as rt
+from casimir_spheres import scattering, translation
 from casimir_spheres.errors import NonConvergenceError
 from casimir_spheres.geometry import Geometry
 
@@ -76,15 +77,37 @@ def test_truncation_monotonicity():
 
 
 def test_block_m_symmetry():
-    """The m and -m blocks contribute identically (cross sector flips twice)."""
+    """log det(I - N) is the same for the m and -m blocks, and equals the
+    round-trip assembly's block.
+
+    The -m block flips the sign of the mixing sector, a similarity by
+    diag(1, -1) over (M, E) that commutes with T and with the parity D.
+    Both N here are built from the physical translation blocks and the
+    same T diagonal; the assembly instead builds the scaled A~ by its own
+    kernel.
+    """
     geo = Geometry.from_ratio(0.3)
+    kappa, l_max = 1.0, 4
+    tmat = scattering.tmatrix_block(kappa * geo.R, l_max)
     for m in (1, 2):
-        plus = rt.roundtrip_block(geo, 1.0, m, 4)
-        # reconstruct the -m block: flip the cross sector of A~ twice -> equal
-        minus = rt.roundtrip_block(geo, 1.0, m, 4)
-        assert np.allclose(plus.matrix, minus.matrix, rtol=0, atol=0)
-        sign, logabs = np.linalg.slogdet(np.eye(plus.matrix.shape[0]) - plus.matrix)
+        t = np.concatenate([tmat.diag_mm[m - 1:], tmat.diag_ee[m - 1:]])
+        eye = np.eye(t.size)
+        logdets = []
+        for mm in (m, -m):
+            blk = translation.translation_block(mm, kappa * geo.d, l_max)
+            scale = math.exp(blk.scaling_exponent)
+            u12 = blk.entries * scale
+            u21 = blk.reversed().entries * scale
+            sign, logabs = np.linalg.slogdet(
+                eye - (t[:, None] * u12) @ (t[:, None] * u21))
+            assert sign > 0.0
+            logdets.append(logabs)
+        sign, assembled = np.linalg.slogdet(
+            eye - rt.roundtrip_block(geo, kappa, m, l_max).matrix)
         assert sign > 0.0
+        assert logdets[0] < -1e-6
+        assert logdets[1] == pytest.approx(logdets[0], rel=1e-12)
+        assert assembled == pytest.approx(logdets[0], rel=1e-12)
 
 
 def test_logdet_negative_and_converged():
