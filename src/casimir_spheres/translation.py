@@ -30,11 +30,17 @@ by the dipole sector: together with the dipole T-matrix elements it must
 reproduce the closed-form two-dipole round-trip trace (see
 :func:`dipole_translation_limit` and the round-trip module).
 
-Wigner symbols with the (m, -m, 0) magnetic structure are generated by the
-three-term recurrence in p, run upward and downward with renormalisation
-and glued at the magnitude maximum; (0,0,0) symbols use the cancellation-free
-closed form.  Exactness is checked against rational-arithmetic symbols in
-the test suite.
+Both symbols are symmetric in (l, l') and the prefactor's only
+asymmetric factor is the destination gauge (-1)^{l'+1}, so both
+sectors obey ``U[l', l] = (-1)^{l+l'} U[l, l']``: the coupling tensors are
+built on the n(n+1)/2 pairs l <= l' and mirrored.  Wigner symbols with the
+(m, -m, 0) magnetic structure are generated by the three-term recurrence in
+p, held p-major (each step writes one contiguous row of all pairs, from a
+coefficient table built once), run downward and upward in plain values
+with an overflow rescale and glued at the magnitude maximum of the downward
+sweep; (0,0,0) symbols use the cancellation-free closed form, evaluated on
+the p of parity l + l' only.  Exactness is checked against
+rational-arithmetic symbols in the test suite, up to l = 115.
 """
 
 from __future__ import annotations
@@ -88,100 +94,64 @@ def _wigner3j_mseq(m: int, l: np.ndarray, lp: np.ndarray,
     """Wigner symbols (l, l', p; m, -m, 0) for p = 0..p_len-1, all pairs.
 
     ``l`` and ``lp`` are flat arrays of equal length; the result has shape
-    (len(l), p_len).  m must be >= 1 (m = 0 is served by the closed form).
-    Two-sided recurrence with per-pair renormalisation, glued at the
-    magnitude maximum of the downward sweep, normalised by
-    ``sum_p (2p+1) f(p)^2 = 1`` and the sign of f(p_max) = (-1)^{l-l'}.
+    (len(l), p_len) and is the transposed view of a p-major array.  m must
+    be >= 1 (m = 0 is served by the closed form).  The three-term
+    recurrence a(p+1) f(p+1) = 2m(2p+1) f(p) - a(p) f(p-1), with
+    a(p) = sqrt((p^2 - Delta^2)(Sigma^2 - p^2)) tabulated once, runs down
+    from f(p_max) = 1 and up from f(p_min) = 1, one row of all pairs per
+    step.  The sweeps are glued at the magnitude maximum p* of the downward
+    one (the upward sweep stops at p*, before it can grow into the
+    forbidden region near p_max), normalised by ``sum_p (2p+1) f(p)^2 = 1``
+    and signed by f(p_max) = (-1)^{l-l'}.  Values are carried as they are;
+    a pair whose value passes 1e250 has its whole sweep so far scaled by
+    1e-300, which keeps l up to 200 finite.
     """
     if m < 1:
         raise ValueError("recurrence path requires m >= 1")
     l = np.asarray(l, dtype=float)
     lp = np.asarray(lp, dtype=float)
     npair = l.shape[0]
-    delta = l - lp
-    sigma = l + lp + 1.0
-    pmin = np.abs(delta).astype(np.int64)
+    pair = np.arange(npair)
+    pmin = np.abs(l - lp).astype(np.int64)
     pmax = (l + lp).astype(np.int64)
-    ps = np.arange(p_len, dtype=float)
+    top = int(pmax.max(initial=0))
+    rows = max(p_len, top + 3)
+    ps = np.arange(rows, dtype=float)[:, None]
+    a = np.sqrt(np.maximum((ps**2 - (l - lp)**2) * ((l + lp + 1.0)**2 - ps**2),
+                           0.0))
+    # 1/a(p), zero outside p_min < p <= p_max, so a step there writes 0
+    ainv = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
 
-    # a(p) = sqrt((p^2 - Delta^2)(Sigma^2 - p^2)), clipped outside triangle
-    def a_of(pvals):
-        arg = (pvals**2 - delta**2) * (sigma**2 - pvals**2)
-        return np.sqrt(np.maximum(arg, 0.0))
+    def guard(f, p):
+        big = np.abs(f[p]) > 1e250
+        if big.any():
+            f[:, big] *= 1e-300
 
-    def sweep(up: bool):
-        logf = np.full((npair, p_len), -np.inf)
-        sgn = np.zeros((npair, p_len))
-        f_prev = np.zeros(npair)   # f at previous p (direction-wise)
-        f_cur = np.zeros(npair)
-        off = np.zeros(npair)
-        if up:
-            rng = range(0, p_len)
-        else:
-            rng = range(p_len - 1, -1, -1)
-        for p in rng:
-            pv = float(p)
-            if up:
-                seed = pmin == p
-                step = (p > pmin) & (p <= pmax)
-            else:
-                seed = pmax == p
-                step = (p < pmax) & (p >= pmin)
-            newf = np.zeros(npair)
-            if np.any(step):
-                if up:
-                    # recurrence centred at p-1 gives f(p) from f(p-1), f(p-2)
-                    a_here = a_of(np.full(npair, pv))
-                    a_back = a_of(np.full(npair, pv - 1.0))
-                    num = 2.0 * m * (2.0 * (pv - 1.0) + 1.0) * f_cur - a_back * f_prev
-                else:
-                    # recurrence centred at p+1 gives f(p) from f(p+1), f(p+2)
-                    a_here = a_of(np.full(npair, pv + 1.0))
-                    a_back = a_of(np.full(npair, pv + 2.0))
-                    num = 2.0 * m * (2.0 * (pv + 1.0) + 1.0) * f_cur - a_back * f_prev
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cand = num / a_here
-                newf = np.where(step, cand, 0.0)
-            newf = np.where(seed, 1.0, newf)
-            f_prev, f_cur = np.where(seed, 0.0, f_cur), newf
-            big = np.abs(f_cur) > 1e250
-            if np.any(big):
-                f_cur = np.where(big, f_cur * 1e-300, f_cur)
-                f_prev = np.where(big, f_prev * 1e-300, f_prev)
-                off = np.where(big, off + 300.0 * math.log(10.0), off)
-            live = seed | (step if isinstance(step, np.ndarray) else np.zeros(npair, bool))
-            nz = live & (f_cur != 0.0)
-            logf[nz, p] = np.log(np.abs(f_cur[nz])) + off[nz]
-            sgn[nz, p] = np.sign(f_cur[nz])
-        return logf, sgn
+    # each sweep adds its step onto the seed row, which holds 1
+    down = np.zeros((rows, npair))
+    down[pmax, pair] = 1.0
+    for p in range(top - 1, -1, -1):
+        down[p] += ((2.0 * m * (2 * p + 3)) * down[p + 1]
+                    - a[p + 2] * down[p + 2]) * ainv[p + 1]
+        guard(down, p)
+    pstar = np.argmax(np.abs(down), axis=0)
+    ainv *= ps <= pstar
 
-    logf_u, sgn_u = sweep(up=True)
-    logf_d, sgn_d = sweep(up=False)
+    up = np.zeros((rows, npair))
+    up[pmin, pair] = 1.0
+    for p in range(1, top + 1):
+        # at p = 1 the row p - 2 = -1 is the last one, which stays zero
+        up[p] += ((2.0 * m * (2 * p - 1)) * up[p - 1]
+                  - a[p - 1] * up[p - 2]) * ainv[p]
+        guard(up, p)
 
-    # glue at the magnitude maximum of the downward sweep
-    pstar = np.argmax(np.where(np.isfinite(logf_d), logf_d, -np.inf), axis=1)
-    idx = np.arange(npair)
-    c_log = logf_d[idx, pstar] - logf_u[idx, pstar]
-    c_sgn = sgn_d[idx, pstar] * sgn_u[idx, pstar]
-    use_up = ps[None, :] <= pstar[:, None]
-    logf = np.where(use_up, logf_u + c_log[:, None], logf_d)
-    sgn = np.where(use_up, sgn_u * c_sgn[:, None], sgn_d)
-
-    # normalise: sum_p (2p+1) f^2 = 1
-    mmax = np.max(np.where(np.isfinite(logf), logf, -np.inf), axis=1)
-    w2 = np.where(np.isfinite(logf), (2.0 * ps[None, :] + 1.0)
-                  * np.exp(2.0 * (logf - mmax[:, None])), 0.0)
-    lognorm = mmax + 0.5 * np.log(np.sum(w2, axis=1))
-    logf = logf - lognorm[:, None]
-
-    # overall sign: f(pmax) has sign (-1)^{l-l'}
-    want = np.where(np.abs(delta).astype(np.int64) % 2 == 0, 1.0, -1.0)
-    have = sgn[idx, pmax]
-    flip = np.where(have * want < 0, -1.0, 1.0)
-    sgn = sgn * flip[:, None]
-
-    vals = np.where(np.isfinite(logf), sgn * np.exp(logf), 0.0)
-    return vals
+    peak = down[pstar, pair]
+    f = np.where(ps <= pstar, up * (peak / up[pstar, pair]), down)
+    f /= np.abs(peak)
+    norm = np.sqrt(np.sum((2.0 * ps + 1.0) * f * f, axis=0))
+    # f(p_max) > 0 from its seed on; it must carry the sign (-1)^{l-l'}
+    f *= np.where(pmin % 2 == 0, 1.0, -1.0) / norm
+    return f[:p_len].T
 
 
 def coupling_tensors(m: int, l0: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +160,10 @@ def coupling_tensors(m: int, l0: int, l_max: int) -> tuple[np.ndarray, np.ndarra
     ``n = l_max - l0 + 1`` spans l = l0..l_max and ``p_len = 2 l_max + 2``.
     The polarization-preserving block of the translation matrix is
     ``sum_p GA[i,j,p] k_p(x)`` and the mixing block ``sum_p GB[i,j,p] k_p(x)``;
-    the channel prefactor is folded in.  Small tensors are memoised (they
-    are frequency independent and dominate the cost of repeated
+    the channel prefactor is folded in.  Only the pairs l <= l' are
+    computed; the others follow from ``U[l', l] = (-1)^{l+l'} U[l, l']``.
+    The arrays are C-contiguous.  Small tensors are memoised (they are
+    frequency independent and dominate the cost of repeated
     single-frequency evaluations).
     """
     if l_max <= _COUPLING_CACHE_LMAX:
@@ -209,45 +181,49 @@ def _coupling_tensors_impl(m: int, l0: int, l_max: int) -> tuple[np.ndarray, np.
         raise ValueError("require max(1, m) <= l0 <= l_max")
     n = l_max - l0 + 1
     p_len = 2 * l_max + 2
-    ls = np.arange(l0, l_max + 1, dtype=np.int64)
-    L = np.repeat(ls, n)
-    Lp = np.tile(ls, n)
-    ps = np.arange(p_len, dtype=np.int64)
+    # the pairs l <= l'; every array below is p-major, (p_len, npair)
+    i, j = np.triu_indices(n)
+    L = (l0 + i).astype(float)
+    Lp = (l0 + j).astype(float)
+    pf = np.arange(p_len, dtype=float)[:, None]
 
-    w000 = wigner3j_000(L[:, None], Lp[:, None], ps[None, :])
-    w000_m1 = np.zeros_like(w000)
-    w000_m1[:, 1:] = w000[:, :-1]
-
-    if m == 0:
-        wm = w000
-    else:
-        wm = _wigner3j_mseq(m, L.astype(float), Lp.astype(float), p_len)
-
-    Lf = L.astype(float)
-    Lpf = Lp.astype(float)
-    lam = (Lf * (Lf + 1.0) + Lpf * (Lpf + 1.0))[:, None]
-    sig = (Lf + Lpf + 1.0)[:, None]
-    del_ = (Lf - Lpf)[:, None]
-    pf = ps[None, :].astype(float)
-    two_p1 = 2.0 * pf + 1.0
+    # (l, l', p; 0, 0, 0) vanishes unless p = l' - l + 2t with t = 0..l;
+    # t > l lands past the triangle (clipped to the zero row p_len - 1)
+    p_even = np.minimum(j - i + 2 * np.arange(l_max + 1)[:, None], p_len - 1)
+    w000 = np.zeros((p_len, i.size))
+    w000[p_even, np.arange(i.size)] = wigner3j_000(l0 + i, l0 + j, p_even)
+    wm = w000 if m == 0 else _wigner3j_mseq(m, L, Lp, p_len).T
 
     # the destination-side sign (-1)^{l'+1} fixes the relative sign of the
     # l' channels; it is invisible to the dipole sector and to composition
     # identities (a pure Z2 gauge there) and is pinned by expanding
     # translated vector-wave fields directly (see the field-expansion test)
-    dest_sign = np.where(Lp % 2 == 0, -1.0, 1.0)[:, None]
+    dest_sign = np.where((l0 + j) % 2 == 0, -1.0, 1.0)
     pref = (-1.0 / math.pi) * (1.0 if m % 2 == 0 else -1.0) * dest_sign * np.sqrt(
-        (2.0 * Lf + 1.0) * (2.0 * Lpf + 1.0)
-        / (Lf * (Lf + 1.0) * Lpf * (Lpf + 1.0)))[:, None]
+        (2.0 * L + 1.0) * (2.0 * Lp + 1.0) / (L * (L + 1.0) * Lp * (Lp + 1.0)))
+    wm = (2.0 * pf + 1.0) * wm * pref      # the factor both sectors share
 
-    ga = pref * two_p1 * (lam - pf * (pf + 1.0)) * wm * w000
-    root = np.sqrt(np.maximum((sig**2 - pf**2) * (pf**2 - del_**2), 0.0))
+    lam = L * (L + 1.0) + Lp * (Lp + 1.0)
+    ga = _mirror((lam - pf * (pf + 1.0)) * wm * w000, n, i, j)
     if m == 0:
-        gb = np.zeros_like(ga)
-    else:
-        gb = pref * two_p1 * root * wm * w000_m1
+        return ga, np.zeros_like(ga)
+    gb = np.sqrt(np.maximum(((L + Lp + 1.0)**2 - pf**2)
+                            * (pf**2 - (L - Lp)**2), 0.0)) * wm
+    gb[1:] *= w000[:-1]          # (l, l', p - 1; 0, 0, 0)
+    gb[0] = 0.0
+    return ga, _mirror(gb, n, i, j)
 
-    return ga.reshape(n, n, p_len), gb.reshape(n, n, p_len)
+
+def _mirror(half: np.ndarray, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(n, n, p_len) tensor from its p-major l <= l' half, (p_len, npair).
+
+    Both sectors obey U[l', l] = (-1)^{l+l'} U[l, l']: the Wigner products
+    are symmetric in (l, l') and the destination gauge (-1)^{l'+1} is not.
+    """
+    full = np.empty((n, n, half.shape[0]))
+    full[i, j] = half.T
+    full[j, i] = half.T * np.where((i + j) % 2 == 0, 1.0, -1.0)[:, None]
+    return full
 
 
 @lru_cache(maxsize=2048)

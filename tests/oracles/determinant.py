@@ -64,6 +64,8 @@ def logdet_oracle(r, q, l_max: int, m_values=None):
     """sum over m of w_m log det(I - N_m) at aspect ratio r, kappa d = q.
 
     ``m_values`` restricts the azimuthal blocks (None for the full sum).
+    Raises ArithmeticError, naming the block and ``mp.dps``, when a block's
+    determinant comes out <= 0 or its log is not finite.
     """
     r = mp.mpf(r)
     q = mp.mpf(q)
@@ -92,5 +94,12 @@ def logdet_oracle(r, q, l_max: int, m_values=None):
             T[i + n, i + n] = te[l]
         N = T * U * T * (D * U * D)
         det = mp.det(mp.eye(2 * n) - N)
-        total += (1 if m == 0 else 2) * mp.log(det)
+        # det(I - N) > 0 for a passive system; a zero or negative det, or
+        # one whose log is not finite, means the LU lost every digit
+        log_det = mp.log(det) if det > 0 else None
+        if log_det is None or not mp.isfinite(log_det):
+            raise ArithmeticError(
+                f"det(I - N) = {mp.nstr(det, 5)} in block m = {m} at "
+                f"mp.dps = {mp.mp.dps}: the LU lost all precision; raise dps")
+        total += (1 if m == 0 else 2) * log_det
     return total

@@ -168,3 +168,12 @@ def test_static_limit_approaches_proximity_scale():
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert 0.30 < ratios[-1] < 0.55
     assert ratios[0] > 0.02
+
+
+def test_determinant_oracle_raises_when_its_lu_loses_all_digits(monkeypatch):
+    """A zero determinant from the oracle's LU is an error naming the block
+    and the working precision, not a log of -inf."""
+    from oracles import determinant as oracle
+    monkeypatch.setattr(oracle.mp, "det", lambda a: oracle.mp.mpf(0))
+    with pytest.raises(ArithmeticError, match=r"m = 2 at mp.dps = \d+.*raise dps"):
+        oracle.logdet_oracle(0.45, 1.0, 3, m_values=[2])

@@ -159,3 +159,54 @@ def test_coupling_tensor_transposition():
                        rtol=1e-12, atol=1e-15)
     assert np.allclose(np.swapaxes(gb, 0, 1), par[:, :, None] * gb,
                        rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 7, 20])
+@pytest.mark.parametrize("l, lp", [(40, 40), (57, 31), (96, 115), (115, 115)])
+def test_wigner_mseq_exact_at_production_l(l, lp, m):
+    """Exact symbols at the l the l_max ladder reaches: both ends of the
+    p range and around the glue point p* of the two sweeps."""
+    seq = tr._wigner3j_mseq(m, np.array([float(l)]), np.array([float(lp)]),
+                            2 * max(l, lp) + 2)[0]
+    p_min, p_max = abs(l - lp), l + lp
+    # the downward sweep's magnitude maximum, where the sweeps are glued
+    p_star = int(np.argmax(np.abs(seq)))
+    for p in {p_min, p_min + 1, p_star - 1, p_star, p_star + 1, p_max - 1,
+              p_max}:
+        assert seq[p] == pytest.approx(exact_w3j(l, lp, p, m, -m, 0),
+                                       rel=1e-12, abs=1e-15), p
+    assert np.all(seq[:p_min] == 0.0) and np.all(seq[p_max + 1:] == 0.0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_coupling_tensor_mirror_half_at_l_max_57(m):
+    """The l > l' half of the tensors is the mirror of the l <= l' half;
+    the Wigner symbols behind it are symmetric in (l, l')."""
+    l0, l_max = max(1, m), 57
+    ga, gb = coupling_tensors(m, l0, l_max)
+    ls = np.arange(l0, l_max + 1)
+    par = (-1.0) ** (ls[:, None] + ls[None, :])
+    lower = np.tril_indices(ls.size, -1)
+    for g in (ga, gb):
+        assert np.allclose(np.swapaxes(g, 0, 1)[lower],
+                           (par[:, :, None] * g)[lower], rtol=1e-12, atol=0)
+    if m:
+        L, Lp = np.meshgrid(ls.astype(float), ls.astype(float), indexing="ij")
+        w = tr._wigner3j_mseq(m, L.ravel(), Lp.ravel(), 2 * l_max + 2)
+        w_swap = tr._wigner3j_mseq(m, Lp.ravel(), L.ravel(), 2 * l_max + 2)
+        assert np.allclose(w, w_swap, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("l, m", [(200, 1), (200, 60), (200, 150), (600, 600)])
+def test_wigner_mseq_finite_and_normalised_at_large_l(l, m):
+    """l = l' = 200 is the l_max ceiling.  At l = l' = m = 600 the sweep
+    from p_max grows past 1e308 before its peak, so only the overflow guard
+    keeps it finite.  Every value stays finite, sum_p (2p+1) f^2 = 1, and
+    (l, l, 0; m, -m, 0) = (-1)^{l-m} / sqrt(2l+1)."""
+    seq = tr._wigner3j_mseq(m, np.array([float(l)]), np.array([float(l)]),
+                            2 * l + 2)[0]
+    assert np.all(np.isfinite(seq))
+    ps = np.arange(seq.size)
+    assert abs(np.sum((2 * ps + 1) * seq**2) - 1.0) < 1e-12
+    assert seq[0] == pytest.approx((-1) ** (l - m) / math.sqrt(2 * l + 1),
+                                   rel=1e-12)
