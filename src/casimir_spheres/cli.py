@@ -5,8 +5,8 @@ orders, no randomness); the only time-dependent content is an optional
 timestamp comment, disabled by ``--reproducible``.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-non-convergence.  Errors go to stderr with a machine-parseable
-``error:<kind>:`` prefix.
+non-convergence or failure (``numpy.linalg.LinAlgError`` included).  Errors
+go to stderr with a machine-parseable ``error:<kind>:`` prefix.
 """
 
 from __future__ import annotations
@@ -348,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except NonConvergenceError as exc:
         return _fail("convergence", str(exc), 3)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a failure of the numerics, not of the input
+        return _fail("numerical", str(exc), 3)
     except (ValueError, OSError) as exc:
         return _fail("config", str(exc), 2)
     except CasimirError as exc:

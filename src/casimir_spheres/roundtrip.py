@@ -21,7 +21,9 @@ sum to them.  The p-sum of entry (l, l') ends at P = l + l' + 1, so every
 term is scaled by k_p / k_P <= 1 before it is summed and k_P is restored in
 a prefactor that is formed in the log domain.  Entries with equal P lie on
 one anti-diagonal; each anti-diagonal is one matrix product over the whole
-batch of frequencies, for every kappa and l_max alike.
+batch of frequencies, for every kappa and l_max alike.  Only l <= l' is
+summed: by A~[l', l] = (-1)^{l+l'} A~[l, l'], the one-way operator
+M = e^{-kappa ell} sigma A~ D is symmetric and N is similar to M^2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scattering, translation
+from . import scattering, specfun, translation
 from .errors import NonConvergenceError, SpectralRadiusError
 from .geometry import Geometry
 
@@ -61,116 +63,117 @@ class RoundTripBlock:
     kappa: float
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, off)``: the pairs i <= j of an n x n block, ordered by
+    anti-diagonal s = i + j, which holds ``off[s]:off[s + 1]``."""
+    s = np.arange(2 * n - 1)
+    lo = np.maximum(0, s - n + 1)
+    count = s // 2 - lo + 1
+    off = np.concatenate([[0], np.cumsum(count)])
+    i = np.arange(off[-1]) - np.repeat(off[:-1] - lo, count)
+    return i, np.repeat(s, count) - i, off
+
+
 def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
                   lt_m: np.ndarray, lt_e: np.ndarray) -> np.ndarray:
-    """Scaled symmetrised blocks ``A~`` for one m over a frequency batch.
+    """Packed l <= l' half of ``e^{-q(1-2r)} A~`` for one m over a batch.
 
     ``lt_m``, ``lt_e`` are log|T e^{-2y}| ladders of shape (nq, l_max).
-    Returns a stack (nq, 2n, 2n).  The p-sum of entry (l, l') ends at
-    P = l + l' + 1 and k_p increases with p, so each p-term scaled by
-    k_p / k_P is at most |G|.  The entries of one anti-diagonal share P and
-    are contracted by one matmul over the whole batch; k_P comes back in
-    the prefactor exp(lth_l + lth_l' + log k_P), whose exponent is summed
-    before it is exponentiated (docs/derivations.md, section 1).
+    Returns (nq, 2, 2, npair): [:, a, b, k] couples channel a at l_k to
+    channel b at l'_k, for the pairs of :func:`_pairs`.  The p-sum of
+    entry (l, l') ends at P = l + l' + 1 and k_p increases with p, so each
+    p-term scaled by k_p / k_P is at most |G|.  One matmul over the batch
+    contracts the pairs of one anti-diagonal (equal P); k_P, the T-matrix
+    weights and the gap factor come back in one prefactor whose exponent
+    is summed before it is exponentiated (docs/derivations.md, section 1).
     """
-    from .specfun import log_khat_spherical_ladder_vec
-
     ga, gb = translation.coupling_tensors(m, l0, l_max)
     p_len = ga.shape[2]
-    ps = np.arange(p_len)
     # log(k_p(x) e^x) for p = 0..p_len-1
     rad_log = (math.log(math.pi / 2.0)
-               + log_khat_spherical_ladder_vec(p_len - 1, q)
-               - (ps + 1.0)[None, :] * np.log(q)[:, None])
+               + specfun.log_khat_spherical_ladder_vec(p_len - 1, q)
+               - np.arange(1.0, p_len + 1.0)[None, :] * np.log(q)[:, None])
 
     nq = q.shape[0]
     n = l_max - l0 + 1
-    # scaled p-sums packed by anti-diagonal s = i + j, with P = 2 l0 + 1 + s:
-    # diag[:, 0, s, k] is the preserving, diag[:, 1, s, k] the mixing sum of
-    # the k-th pair (i, s - i) on it
-    diag = np.zeros((nq, 2, 2 * n - 1, n))
+    i, j, off = _pairs(n)
+    # scaled p-sums of the pairs: [:, 0] preserving, [:, 1] mixing
+    sums = np.zeros((nq, 2, i.size))
     for s in range(2 * n - 1):
-        i = np.arange(max(0, s - n + 1), min(s, n - 1) + 1)
+        k = slice(off[s], off[s + 1])
         big_p = 2 * l0 + 1 + s
         ref = rad_log[:, big_p, None]
         # the 3j selection rules put GA on p = P-1, P-3, ... and GB on P, P-2, ...
-        diag[:, 0, s, :i.size] = (np.exp(rad_log[:, big_p - 1::-2] - ref)
-                                  @ ga[i, s - i, big_p - 1::-2].T)
+        sums[:, 0, k] = (np.exp(rad_log[:, big_p - 1::-2] - ref)
+                         @ ga[i[k], j[k], big_p - 1::-2].T)
         if m:
-            diag[:, 1, s, :i.size] = (np.exp(rad_log[:, big_p::-2] - ref)
-                                      @ gb[i, s - i, big_p::-2].T)
+            sums[:, 1, k] = (np.exp(rad_log[:, big_p::-2] - ref)
+                             @ gb[i[k], j[k], big_p::-2].T)
 
-    # unpack into [[same, cross], [cross, same]]; np.take keeps the
-    # frequency axis outermost in memory, as the batched matmuls want it
+    lth = 0.5 * np.stack([lt_m[:, l0 - 1:], lt_e[:, l0 - 1:]], axis=1)
+    # lth_l + lth_l' first, so the mirror pair (l', l) has the same exponent
+    out = np.empty((nq, 2, 2, i.size))
+    np.add(np.take(lth, i, axis=2)[:, :, None, :],
+           np.take(lth, j, axis=2)[:, None, :, :], out=out)
+    out += (np.take(rad_log, 2 * l0 + 1 + i + j, axis=1)
+            - (q * (1.0 - 2.0 * r))[:, None])[:, None, None, :]
+    np.exp(out, out=out)
+    out *= sums[:, [[0, 1], [1, 0]]]
+    return out
+
+
+def _one_way(half: np.ndarray, l0: int, l_max: int) -> np.ndarray:
+    """M = e^{-q(1-2r)} sigma A~ D, (nq, 2n, 2n), from the packed half.
+
+    Entry ((a, l), (b, l')), channels a, b in (M, E), is pair (l, l') of
+    (a, b) if l <= l', else pair (l', l) of (b, a) times the mirror sign
+    (-1)^{l+l'}; sigma = sign(T) (M < 0 < E) scales the rows and the
+    parity D the columns.  M is symmetric and M^2 is similar to N.
+    """
+    n = l_max - l0 + 1
+    npair = half.shape[-1]
     ls = np.arange(n)
-    s_ij = ls[:, None] + ls[None, :]
-    same = s_ij * n + ls[:, None] - np.maximum(0, s_ij - n + 1)
-    cross = same + (2 * n - 1) * n
-    at = np.take(diag.reshape(nq, -1),
-                 np.block([[same, cross], [cross, same]]), axis=1)
-    del diag
-
-    sl = slice(l0 - 1, l_max)
-    lth = 0.5 * np.concatenate([lt_m[:, sl], lt_e[:, sl]], axis=1)
-    expo = np.take(rad_log, 2 * l0 + 1 + np.tile(s_ij, (2, 2)), axis=1)
-    expo += lth[:, :, None]
-    expo += lth[:, None, :]
-    at *= np.exp(expo, out=expo)
-    return at
+    lo, hi = np.minimum.outer(ls, ls), np.maximum.outer(ls, ls)
+    k = _pairs(n)[2][lo + hi] + lo - np.maximum(0, lo + hi - n + 1)
+    low = lo < ls[:, None]
+    idx = np.block([[k, k + npair * (1 + low)],
+                    [k + npair * (2 - low), k + 3 * npair]])
+    one_way = np.take(half.reshape(half.shape[0], -1), idx, axis=1)
+    # in place: a fresh product array costs twice the gather
+    one_way *= (np.tile(np.where(low, (-1.0) ** (lo + hi), 1.0), (2, 2))
+                * np.repeat([-1.0, 1.0], n)[:, None]
+                * translation.parity_signs(l0, l_max))
+    return one_way
 
 
 def _block_logdets(m: int, l_max: int, q: np.ndarray, r: float,
-                   lt_m: np.ndarray, lt_e: np.ndarray) -> np.ndarray:
+                   lt_m: np.ndarray, lt_e: np.ndarray,
+                   budget: float | np.ndarray = 0.0) -> np.ndarray:
     """log det(I - N_m) for one m over a batch of adimensional frequencies.
 
-    Blocks with small Frobenius norm use the Mercator trace series
-    -sum_k Tr(N^k)/k, which keeps full relative precision where an LU
-    determinant would round 1 - x to 1; larger blocks use slogdet.
+    log det(I - N) = sum log1p(-mu^2) over the eigenvalues mu of M, and
+    t = tr N = ||M||_F^2 comes from the packed half.  Where the terms that
+    -t drops, at most t^2 / (2 (1 - t)), are below ``budget`` (per
+    frequency), the block is -t and M is never formed.
     """
     l0 = max(1, m)
     n = l_max - l0 + 1
-    at = _atilde_batch(m, l0, l_max, q, r, lt_m, lt_e)
-
-    sigma = np.concatenate([-np.ones(n), np.ones(n)])   # sign(T): M < 0 < E
-    dpar = translation.parity_signs(l0, l_max)
-    left = (sigma[:, None] * sigma[None, :] * dpar[None, :]) * at
-    right = at * dpar[None, None, :]
-    nhat = left @ right
-    nhat *= np.exp(-2.0 * q * (1.0 - 2.0 * r))[:, None, None]
-
-    out = np.empty(q.shape[0])
-    fro = np.sqrt(np.sum(nhat**2, axis=(1, 2)))
-    t1 = np.trace(nhat, axis1=1, axis2=2)
-    # tr(N^2) without a matmul
-    t2 = np.einsum("qij,qji->q", nhat, nhat)
-
-    # Mercator series -sum_k tr(N^k)/k keeps full relative precision where
-    # an LU determinant would round 1 - x to 1; the power traces come from
-    # elementwise products, costing at most two matmuls per block.
-    tiny = fro < 1e-7
-    out[tiny] = -(t1[tiny] + 0.5 * t2[tiny])
-    series = (~tiny) & (fro < 0.02)
-    if np.any(series):
-        sub = nhat[series]
-        n2 = sub @ sub
-        n4 = n2 @ n2
-        s1 = t1[series]
-        s2 = t2[series]
-        s3 = np.einsum("qij,qji->q", n2, sub)
-        s4 = np.trace(n4, axis1=1, axis2=2)
-        s5 = np.einsum("qij,qji->q", n4, sub)
-        s6 = np.einsum("qij,qji->q", n4, n2)
-        out[series] = -(s1 + s2 / 2.0 + s3 / 3.0 + s4 / 4.0
-                        + s5 / 5.0 + s6 / 6.0)
-    big = ~(tiny | series)
-    if np.any(big):
-        eye = np.eye(2 * n)
-        sign, logabs = np.linalg.slogdet(eye[None, :, :] - nhat[big])
-        if np.any(sign <= 0.0):
-            bad = q[big][sign <= 0.0]
+    half = _atilde_batch(m, l0, l_max, q, r, lt_m, lt_e)
+    i, j = _pairs(n)[:2]
+    t = np.einsum("qabk,qabk,k->q", half, half, np.where(i == j, 1.0, 2.0))
+    out = -t
+    exact = ~(0.5 * t * t < budget * (1.0 - t))
+    if np.any(exact):
+        one_way = _one_way(half[exact], l0, l_max)
+        # at m = 0 the mixing blocks vanish: two spectra of half the size
+        cuts = (slice(0, n), slice(n, None)) if m == 0 else (slice(None),)
+        mu = np.concatenate([np.linalg.eigvalsh(one_way[:, c, c])
+                             for c in cuts], axis=1)
+        bad = q[exact][np.max(np.abs(mu), axis=1) >= 1.0]
+        if bad.size:
             raise SpectralRadiusError(
-                f"det(I - N) <= 0 in m={m} block at kappa*d={bad[:3]}")
-        out[big] = logabs
+                f"rho(N) >= 1 in m={m} block at kappa*d={bad[:3]}")
+        out[exact] = np.sum(np.log1p(-mu * mu), axis=1)
     return out
 
 
@@ -186,14 +189,14 @@ def logdet_batch(r: float, q: np.ndarray, l_max: int,
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if np.any(q <= 0):
         raise ValueError("kappa*d must be > 0")
-    y = q * r
-    lt_m, lt_e = scattering.t_scaled_log_vec(l_max, y)
+    lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
     acc = np.zeros(q.shape[0])
-    m_used = 0
     quiet = 0
     for m in range(0, l_max + 1):
         w = 1.0 if m == 0 else 2.0
-        contrib = w * _block_logdets(m, l_max, q, r, lt_m, lt_e)
+        # a block may drop 1e-2 m_rel_tol of the sum so far: none at m = 0
+        contrib = w * _block_logdets(m, l_max, q, r, lt_m, lt_e,
+                                     budget=1e-2 * m_rel_tol * np.abs(acc) / w)
         acc += contrib
         m_used = m
         scale = np.maximum(np.abs(acc), 1e-300)
@@ -217,13 +220,9 @@ def roundtrip_block(geometry: Geometry, kappa: float, m: int,
     q = np.array([kappa * geometry.d])
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
     l0 = max(1, m)
-    n = l_max - l0 + 1
-    at = _atilde_batch(m, l0, l_max, q, r, lt_m, lt_e)
-    sigma = np.concatenate([-np.ones(n), np.ones(n)])
-    dpar = translation.parity_signs(l0, l_max)
-    nhat = ((sigma[:, None] * sigma[None, :] * dpar[None, :]) * at[0]) @ (at[0] * dpar[None, :])
-    nhat *= math.exp(-2.0 * q[0] * (1.0 - 2.0 * r))
-    return RoundTripBlock(m=m, matrix=nhat, kappa=kappa)
+    one_way = _one_way(_atilde_batch(m, l0, l_max, q, r, lt_m, lt_e),
+                       l0, l_max)[0]
+    return RoundTripBlock(m=m, matrix=one_way @ one_way, kappa=kappa)
 
 
 def _start_l_max(r: float) -> int:

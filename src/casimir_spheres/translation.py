@@ -38,9 +38,10 @@ built on the n(n+1)/2 pairs l <= l' and mirrored.  Wigner symbols with the
 p, held p-major (each step writes one contiguous row of all pairs, from a
 coefficient table built once), run downward and upward in plain values
 with an overflow rescale and glued at the magnitude maximum of the downward
-sweep; (0,0,0) symbols use the cancellation-free closed form, evaluated on
-the p of parity l + l' only.  Exactness is checked against
-rational-arithmetic symbols in the test suite, up to l = 115.
+sweep over the classically allowed range of p; (0,0,0) symbols use the
+cancellation-free closed form, evaluated on the p of parity l + l' only.
+Exactness is checked against rational-arithmetic symbols in the test
+suite, up to l' = 200, and by the m-orthogonality of the symbols.
 """
 
 from __future__ import annotations
@@ -100,11 +101,13 @@ def _wigner3j_mseq(m: int, l: np.ndarray, lp: np.ndarray,
     a(p) = sqrt((p^2 - Delta^2)(Sigma^2 - p^2)) tabulated once, runs down
     from f(p_max) = 1 and up from f(p_min) = 1, one row of all pairs per
     step.  The sweeps are glued at the magnitude maximum p* of the downward
-    one (the upward sweep stops at p*, before it can grow into the
-    forbidden region near p_max), normalised by ``sum_p (2p+1) f(p)^2 = 1``
-    and signed by f(p_max) = (-1)^{l-l'}.  Values are carried as they are;
-    a pair whose value passes 1e250 has its whole sweep so far scaled by
-    1e-300, which keeps l up to 200 finite.
+    one over the classically allowed range of p (Schulten & Gordon, J. Math.
+    Phys. 16, 1961 (1975)): each sweep runs through the forbidden region
+    at its own end in the direction in which the wanted solution grows,
+    and the upward one stops at p*.  The result is normalised by
+    ``sum_p (2p+1) f(p)^2 = 1`` and signed by f(p_max) = (-1)^{l-l'}.
+    Values are carried as they are; a pair whose value passes 1e250 has its
+    whole sweep so far scaled by 1e-300, which keeps l up to 200 finite.
     """
     if m < 1:
         raise ValueError("recurrence path requires m >= 1")
@@ -134,7 +137,13 @@ def _wigner3j_mseq(m: int, l: np.ndarray, lp: np.ndarray,
         down[p] += ((2.0 * m * (2 * p + 3)) * down[p + 1]
                     - a[p + 2] * down[p + 2]) * ainv[p + 1]
         guard(down, p)
-    pstar = np.argmax(np.abs(down), axis=0)
+    # glue inside the classically allowed range, where the recurrence
+    # oscillates (4 a(p) a(p+1) > (2m(2p+1))^2) and neither sweep has
+    # picked up the solution that grows into a forbidden region
+    allowed = np.zeros((rows, npair), dtype=bool)
+    allowed[:-1] = (2.0 * m * (2.0 * ps[:-1] + 1.0))**2 < 4.0 * a[:-1] * a[1:]
+    allowed |= ~allowed.any(axis=0)      # none allowed: the whole range
+    pstar = np.argmax(np.where(allowed, np.abs(down), -1.0), axis=0)
     ainv *= ps <= pstar
 
     up = np.zeros((rows, npair))

@@ -5,7 +5,9 @@ Run from the repository root:
     python tests/oracles/gen_testdata.py
 
 Slow (minutes): every value is recomputed in high-precision arithmetic.
-The files are versioned; bump ``SCHEMA`` when the case lists change.
+The files are versioned; bump ``SCHEMA`` when the case lists change.  A
+determinant case may set ``dps`` (the oracle's working digits) and
+``rtol`` (its test's relative tolerance, 2e-10 when absent).
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ def gen_determinant():
         {"r": 0.45, "q": 1e-3, "l_max": 32, "m_values": [10], "dps": 100},
         {"r": 0.45, "q": 1e-3, "l_max": 32, "m_values": [20], "dps": 100},
         {"r": 0.45, "q": 1e-2, "l_max": 40, "m_values": [1], "dps": 200},
+        # ||N||_F = 0.018, where a six-term trace series of log det(I - N)
+        # is off by 1.4e-12 relative; checked at its own tighter rtol
+        {"r": 0.41, "q": 3.0, "l_max": 16, "m_values": [0], "dps": 60,
+         "rtol": 1e-13},
     ]
     for spec in specs:
         with mp.workdps(spec.get("dps", mp.mp.dps)):

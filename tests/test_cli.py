@@ -60,6 +60,21 @@ def test_missing_thermal_input():
     assert "error:config:" in err
 
 
+def test_linalg_error_is_numerical_exit_code(monkeypatch):
+    """numpy's LinAlgError derives from ValueError, yet it is a numerical
+    failure (exit 3), not a configuration one (exit 2)."""
+    import numpy as np
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, _, err = run_cli(["energy", "--r", "0.2", "--z", "1",
+                            "--branch", "numeric", "--reproducible"])
+    assert code == 3
+    assert err.startswith("error:numerical:")
+    assert "did not converge" in err
+
+
 def test_json_output():
     code, out, _ = run_cli(["energy", "--r", "0.01", "--z", "1.0",
                             "--branch", "asymptotic", "--output", "json",

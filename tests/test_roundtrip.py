@@ -126,7 +126,11 @@ def test_nonconvergence_error_on_tiny_ceiling():
 
 
 def test_against_independent_determinant_oracle(testdata):
-    """Direct unscaled mpmath/sympy assembly at fixed l_max (golden values)."""
+    """Direct unscaled mpmath/sympy assembly at fixed l_max (golden values).
+
+    A case may carry its own ``rtol``; the default is 2e-10.  The check is
+    relative only: some cases lie far below pytest's default absolute
+    tolerance of 1e-12."""
     data = testdata("determinant_oracle.json")
     for case in data["cases"]:
         r, q, l_max = case["r"], case["q"], case["l_max"]
@@ -141,7 +145,8 @@ def test_against_independent_determinant_oracle(testdata):
                 w = 1.0 if m == 0 else 2.0
                 got += w * rt._block_logdets(m, l_max, np.array([q]), r,
                                              lt_m, lt_e)[0]
-        assert got == pytest.approx(float(case["value"]), rel=2e-10)
+        assert got == pytest.approx(float(case["value"]),
+                                    rel=case.get("rtol", 2e-10), abs=0.0)
 
 
 def test_spectral_radius_guard_on_physical_inputs():
@@ -177,3 +182,90 @@ def test_determinant_oracle_raises_when_its_lu_loses_all_digits(monkeypatch):
     monkeypatch.setattr(oracle.mp, "det", lambda a: oracle.mp.mpf(0))
     with pytest.raises(ArithmeticError, match=r"m = 2 at mp.dps = \d+.*raise dps"):
         oracle.logdet_oracle(0.45, 1.0, 3, m_values=[2])
+
+
+def _full_atilde_reference(m, l_max, q, r, lt_m, lt_e):
+    """gap * A~ over all (l, l') pairs, one direct p-sum per entry.
+
+    Every entry is summed from the full coupling tensors, with no
+    anti-diagonal batching and no mirror: the round-trip assembly's
+    reference for its packed half.  ``lt_m``, ``lt_e`` are the T-matrix
+    log ladders at this q, shape (l_max,).
+    """
+    from casimir_spheres.specfun import log_khat_spherical_ladder_vec
+    l0 = max(1, m)
+    n = l_max - l0 + 1
+    ga, gb = translation.coupling_tensors(m, l0, l_max)
+    ps = np.arange(ga.shape[2])
+    qa = np.array([q])
+    rad = (math.log(math.pi / 2.0) + log_khat_spherical_ladder_vec(ps[-1], qa)[0]
+           - (ps + 1.0) * math.log(q))
+    lth = 0.5 * np.concatenate([lt_m[l0 - 1:], lt_e[l0 - 1:]])
+    ls = np.arange(n)
+    big_p = 2 * l0 + 1 + ls[:, None] + ls[None, :]
+    below = ps[None, None, :] <= big_p[:, :, None]
+    w = np.exp(np.where(below, rad[None, None, :] - rad[big_p][:, :, None],
+                        0.0)) * below
+    same = np.sum(ga * w, axis=2)
+    cross = np.sum(gb * w, axis=2)
+    sums = np.block([[same, cross], [cross, same]])
+    expo = ((lth[:, None] + lth[None, :])
+            + (np.tile(rad[big_p], (2, 2)) - q * (1.0 - 2.0 * r)))
+    return sums * np.exp(expo)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 20])
+def test_one_way_operator_symmetric_and_mirror_exact(m):
+    """M = e^{-q(1-2r)} sigma A~ D is symmetric, and the packed l <= l' half
+    mirrored by (-1)^{l+l'} is the directly summed A~, mixing blocks
+    included (r = 0.41, l_max 48)."""
+    r, l_max = 0.41, 48
+    l0 = max(1, m)
+    n = l_max - l0 + 1
+    sigma = np.concatenate([-np.ones(n), np.ones(n)])
+    dpar = translation.parity_signs(l0, l_max)
+    qs = np.array([1e-3, 0.3, 3.0, 20.0])
+    lt_m, lt_e = scattering.t_scaled_log_vec(l_max, qs * r)
+    one_way = rt._one_way(rt._atilde_batch(m, l0, l_max, qs, r, lt_m, lt_e),
+                          l0, l_max)
+    for k, q in enumerate(qs):
+        mk = one_way[k]
+        assert (np.max(np.abs(mk - mk.T))
+                <= 1e-13 * np.max(np.abs(mk))), (m, q)
+        got = sigma[:, None] * mk * dpar[None, :]
+        ref = _full_atilde_reference(m, l_max, q, r, lt_m[k], lt_e[k])
+        for rows in (slice(0, n), slice(n, 2 * n)):
+            for cols in (slice(0, n), slice(n, 2 * n)):
+                scale = np.max(np.abs(ref[rows, cols]))
+                assert (np.max(np.abs(got[rows, cols] - ref[rows, cols]))
+                        <= 1e-14 * scale), (m, q, rows, cols)
+
+
+def test_trace_budget_against_exact_path_and_series_values():
+    """The m-sum with the -tr N shortcut agrees with the exact eigvalsh path
+    within its stated bound, and within 1e-11 with values frozen from the
+    six-term trace series evaluation it replaced (r = 0.41, l_max 48)."""
+    r, l_max, m_tol = 0.41, 48, 5e-11
+    q_max = 42.0 / (2.0 * (1.0 - 2.0 * r))
+    grid = np.unique(np.concatenate([
+        np.geomspace(1e-3, 1.0, 80, endpoint=False),
+        np.linspace(1.0, q_max, 360)]))[::20]
+    g, m_max = rt.logdet_batch(r, grid, l_max, m_rel_tol=m_tol)
+    lt_m, lt_e = scattering.t_scaled_log_vec(l_max, grid * r)
+    exact = sum((1.0 if m == 0 else 2.0)
+                * rt._block_logdets(m, l_max, grid, r, lt_m, lt_e)
+                for m in range(m_max + 1))
+    # each block m >= 1 drops at most 1e-2 m_tol of |g|
+    assert np.all(np.abs(g - exact) <= 1e-2 * m_tol * m_max * np.abs(exact))
+    series = np.array([
+        -0.1489392706258343, -0.14893891125694425, -0.1489276600642687,
+        -0.14859352141742105, -0.140644570530541, -0.02472450019955426,
+        -0.002699374642798388, -0.00027738755303822614,
+        -2.7942673908946125e-05, -2.7896069556733623e-06,
+        -2.7715813903910227e-07, -2.7457689489309437e-08,
+        -2.7151599246222534e-09, -2.6814979248526223e-10,
+        -2.645865878931384e-11, -2.6089699748060337e-12,
+        -2.57128877173571e-13, -2.533156698539893e-14,
+        -2.4948133175414777e-15, -2.4564336770620353e-16,
+        -2.418147706913156e-17, -2.3800530041827913e-18])
+    assert np.all(np.abs(g / series - 1.0) <= 1e-11)

@@ -210,3 +210,38 @@ def test_wigner_mseq_finite_and_normalised_at_large_l(l, m):
     assert abs(np.sum((2 * ps + 1) * seq**2) - 1.0) < 1e-12
     assert seq[0] == pytest.approx((-1) ** (l - m) / math.sqrt(2 * l + 1),
                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("l, lp", [(100, 200), (120, 184), (150, 200),
+                                   (200, 200)])
+def test_wigner_mseq_m_orthogonality(l, lp):
+    """sum_m (2p+1) (l l' p; m -m 0)(l l' p'; m -m 0) = delta_pp' over the
+    whole p range: every m at once, including m near l where the sweeps
+    are glued close to p_min."""
+    p_len = l + lp + 1
+    ps = np.arange(p_len)
+    f0 = wigner3j_000(np.full(p_len, l), np.full(p_len, lp), ps)
+    total = np.outer(f0, f0)
+    # (l l' p; -m m 0) = (-1)^{l+l'+p} (l l' p; m -m 0)
+    both = 1.0 + (-1.0) ** (ps[:, None] + ps[None, :])
+    for m in range(1, min(l, lp) + 1):
+        f = tr._wigner3j_mseq(m, np.array([float(l)]), np.array([float(lp)]),
+                              p_len)[0]
+        total += both * np.outer(f, f)
+    p_min = abs(l - lp)
+    gram = (2 * ps[p_min:, None] + 1) * total[p_min:, p_min:]
+    assert np.max(np.abs(gram - np.eye(p_len - p_min))) < 1e-12
+
+
+def test_wigner_mseq_exact_with_m_equal_l_at_l_200():
+    """(150, 200, p; 150, -150, 0): the classically allowed range of p is
+    narrow and far from both ends, so the glue point must lie inside it."""
+    l, lp, m = 150, 200, 150
+    seq = tr._wigner3j_mseq(m, np.array([float(l)]), np.array([float(lp)]),
+                            l + lp + 1)[0]
+    p_min, p_max = lp - l, l + lp
+    p_peak = int(np.argmax(np.abs(seq)))
+    for p in {p_min, p_min + 1, p_peak - 1, p_peak, p_peak + 1, p_max - 1,
+              p_max}:
+        assert seq[p] == pytest.approx(exact_w3j(l, lp, p, m, -m, 0),
+                                       rel=1e-12, abs=1e-15), p
