@@ -348,8 +348,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except NonConvergenceError as exc:
         return _fail("convergence", str(exc), 3)
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, but a failure of the numerics, not of the input
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        # LinAlgError is a ValueError subclass, but a failure of the
+        # numerics, not of the input; OverflowError comes from the Bessel
+        # and T-matrix ladders
         return _fail("numerical", str(exc), 3)
     except (ValueError, OSError) as exc:
         return _fail("config", str(exc), 2)

@@ -30,7 +30,7 @@ from .constants import HBAR_C, K_B, ZETA_2, ZETA_3, thermal_wavelength
 __all__ = ["PfaPoint", "plate_energy_density", "pfa_energy_sum",
            "pfa_finite_R_integral", "pfa_entropy", "pfa_force",
            "pfa_quantum_limit", "pfa_classical_limit",
-           "pfa_entropy_low_T", "pfa_entropy_classical",
+           "pfa_entropy_classical",
            "li2", "li3", "pfa_energy_x", "pfa_entropy_x", "pfa_force_x"]
 
 
@@ -224,11 +224,6 @@ def pfa_entropy(point: PfaPoint) -> float:
     if point.T == 0:
         return 0.0
     return K_B * point.R / (4.0 * point.ell) * pfa_entropy_x(point.x)
-
-
-def pfa_entropy_low_T(ell: float, R: float, T: float) -> float:
-    """Leading low-temperature entropy (k_B pi^3 R / 36)(k_B T / hbar c)."""
-    return K_B * math.pi**3 * R / 36.0 * (K_B * T / HBAR_C)
 
 
 def pfa_entropy_classical(ell: float, R: float) -> float:

@@ -42,6 +42,9 @@ __all__ = ["RoundTripBlock", "LogDetResult", "logdet_one_minus_n",
 
 L_CEILING_DEFAULT = 200
 
+# frequencies per assembly and eigenvalue pass in _block_logdets
+_Q_SLICE = 128
+
 
 @dataclass(frozen=True)
 class LogDetResult:
@@ -63,52 +66,46 @@ class RoundTripBlock:
     kappa: float
 
 
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(i, j, off)``: the pairs i <= j of an n x n block, ordered by
-    anti-diagonal s = i + j, which holds ``off[s]:off[s + 1]``."""
-    s = np.arange(2 * n - 1)
-    lo = np.maximum(0, s - n + 1)
-    count = s // 2 - lo + 1
-    off = np.concatenate([[0], np.cumsum(count)])
-    i = np.arange(off[-1]) - np.repeat(off[:-1] - lo, count)
-    return i, np.repeat(s, count) - i, off
+def _radial_ladder(q: np.ndarray, l_max: int) -> np.ndarray:
+    """log(k_p(q) e^q) for p = 0..2 l_max + 1, shape (nq, 2 l_max + 2):
+    the radial factors of every m-block's p-sums, one ladder per batch."""
+    p_len = 2 * l_max + 2
+    return (math.log(math.pi / 2.0)
+            + specfun.log_khat_spherical_ladder_vec(p_len - 1, q)
+            - np.arange(1.0, p_len + 1.0)[None, :] * np.log(q)[:, None])
 
 
 def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
-                  lt_m: np.ndarray, lt_e: np.ndarray) -> np.ndarray:
+                  lt_m: np.ndarray, lt_e: np.ndarray,
+                  rad_log: np.ndarray) -> np.ndarray:
     """Packed l <= l' half of ``e^{-q(1-2r)} A~`` for one m over a batch.
 
-    ``lt_m``, ``lt_e`` are log|T e^{-2y}| ladders of shape (nq, l_max).
+    ``lt_m``, ``lt_e`` are log|T e^{-2y}| ladders of shape (nq, l_max) and
+    ``rad_log`` is :func:`_radial_ladder` at this l_max or above.
     Returns (nq, 2, 2, npair): [:, a, b, k] couples channel a at l_k to
-    channel b at l'_k, for the pairs of :func:`_pairs`.  The p-sum of
-    entry (l, l') ends at P = l + l' + 1 and k_p increases with p, so each
-    p-term scaled by k_p / k_P is at most |G|.  One matmul over the batch
+    channel b at l'_k, for the pairs of
+    :func:`translation.antidiagonal_pairs`, the order of the packed
+    coupling blocks.  The p-sum of entry (l, l') ends at P = l + l' + 1
+    and k_p increases with p, so each p-term scaled by k_p / k_P is at
+    most |G|.  One matmul over the batch
     contracts the pairs of one anti-diagonal (equal P); k_P, the T-matrix
     weights and the gap factor come back in one prefactor whose exponent
     is summed before it is exponentiated (docs/derivations.md, section 1).
     """
-    ga, gb = translation.coupling_tensors(m, l0, l_max)
-    p_len = ga.shape[2]
-    # log(k_p(x) e^x) for p = 0..p_len-1
-    rad_log = (math.log(math.pi / 2.0)
-               + specfun.log_khat_spherical_ladder_vec(p_len - 1, q)
-               - np.arange(1.0, p_len + 1.0)[None, :] * np.log(q)[:, None])
-
+    g = translation.coupling_tensors(m, l0, l_max)
     nq = q.shape[0]
     n = l_max - l0 + 1
-    i, j, off = _pairs(n)
+    i, j, off = translation.antidiagonal_pairs(n)
     # scaled p-sums of the pairs: [:, 0] preserving, [:, 1] mixing
     sums = np.zeros((nq, 2, i.size))
-    for s in range(2 * n - 1):
+    # the 3j selection rules put GA on p = P-1, P-3, ... and GB on P, P-2, ...
+    for s, (ga, gb) in enumerate(g.diagonals()):
         k = slice(off[s], off[s + 1])
         big_p = 2 * l0 + 1 + s
         ref = rad_log[:, big_p, None]
-        # the 3j selection rules put GA on p = P-1, P-3, ... and GB on P, P-2, ...
-        sums[:, 0, k] = (np.exp(rad_log[:, big_p - 1::-2] - ref)
-                         @ ga[i[k], j[k], big_p - 1::-2].T)
+        sums[:, 0, k] = np.exp(rad_log[:, big_p - 1::-2] - ref) @ ga.T
         if m:
-            sums[:, 1, k] = (np.exp(rad_log[:, big_p::-2] - ref)
-                             @ gb[i[k], j[k], big_p::-2].T)
+            sums[:, 1, k] = np.exp(rad_log[:, big_p::-2] - ref) @ gb.T
 
     lth = 0.5 * np.stack([lt_m[:, l0 - 1:], lt_e[:, l0 - 1:]], axis=1)
     # lth_l + lth_l' first, so the mirror pair (l', l) has the same exponent
@@ -134,7 +131,8 @@ def _one_way(half: np.ndarray, l0: int, l_max: int) -> np.ndarray:
     npair = half.shape[-1]
     ls = np.arange(n)
     lo, hi = np.minimum.outer(ls, ls), np.maximum.outer(ls, ls)
-    k = _pairs(n)[2][lo + hi] + lo - np.maximum(0, lo + hi - n + 1)
+    k = (translation.antidiagonal_pairs(n)[2][lo + hi] + lo
+         - np.maximum(0, lo + hi - n + 1))
     low = lo < ls[:, None]
     idx = np.block([[k, k + npair * (1 + low)],
                     [k + npair * (2 - low), k + 3 * npair]])
@@ -147,33 +145,41 @@ def _one_way(half: np.ndarray, l0: int, l_max: int) -> np.ndarray:
 
 
 def _block_logdets(m: int, l_max: int, q: np.ndarray, r: float,
-                   lt_m: np.ndarray, lt_e: np.ndarray,
+                   lt_m: np.ndarray, lt_e: np.ndarray, rad_log: np.ndarray,
                    budget: float | np.ndarray = 0.0) -> np.ndarray:
     """log det(I - N_m) for one m over a batch of adimensional frequencies.
 
     log det(I - N) = sum log1p(-mu^2) over the eigenvalues mu of M, and
     t = tr N = ||M||_F^2 comes from the packed half.  Where the terms that
     -t drops, at most t^2 / (2 (1 - t)), are below ``budget`` (per
-    frequency), the block is -t and M is never formed.
+    frequency), the block is -t and M is never formed.  The batch is
+    taken ``_Q_SLICE`` frequencies at a time, which bounds the transients.
     """
     l0 = max(1, m)
     n = l_max - l0 + 1
-    half = _atilde_batch(m, l0, l_max, q, r, lt_m, lt_e)
-    i, j = _pairs(n)[:2]
-    t = np.einsum("qabk,qabk,k->q", half, half, np.where(i == j, 1.0, 2.0))
-    out = -t
-    exact = ~(0.5 * t * t < budget * (1.0 - t))
-    if np.any(exact):
-        one_way = _one_way(half[exact], l0, l_max)
-        # at m = 0 the mixing blocks vanish: two spectra of half the size
-        cuts = (slice(0, n), slice(n, None)) if m == 0 else (slice(None),)
-        mu = np.concatenate([np.linalg.eigvalsh(one_way[:, c, c])
-                             for c in cuts], axis=1)
-        bad = q[exact][np.max(np.abs(mu), axis=1) >= 1.0]
-        if bad.size:
-            raise SpectralRadiusError(
-                f"rho(N) >= 1 in m={m} block at kappa*d={bad[:3]}")
-        out[exact] = np.sum(np.log1p(-mu * mu), axis=1)
+    i, j = translation.antidiagonal_pairs(n)[:2]
+    weight = np.where(i == j, 1.0, 2.0)
+    # at m = 0 the mixing blocks vanish: two spectra of half the size
+    cuts = (slice(0, n), slice(n, None)) if m == 0 else (slice(None),)
+    budget = np.broadcast_to(budget, q.shape)
+    out = np.empty(q.shape)
+    for start in range(0, q.shape[0], _Q_SLICE):
+        b = slice(start, start + _Q_SLICE)
+        half = _atilde_batch(m, l0, l_max, q[b], r, lt_m[b], lt_e[b],
+                             rad_log[b])
+        t = np.einsum("qabk,qabk,k->q", half, half, weight)
+        res = out[b]
+        res[:] = -t
+        exact = ~(0.5 * t * t < budget[b] * (1.0 - t))
+        if np.any(exact):
+            one_way = _one_way(half[exact], l0, l_max)
+            mu = np.concatenate([np.linalg.eigvalsh(one_way[:, c, c])
+                                 for c in cuts], axis=1)
+            bad = q[b][exact][np.max(np.abs(mu), axis=1) >= 1.0]
+            if bad.size:
+                raise SpectralRadiusError(
+                    f"rho(N) >= 1 in m={m} block at kappa*d={bad[:3]}")
+            res[exact] = np.sum(np.log1p(-mu * mu), axis=1)
     return out
 
 
@@ -190,12 +196,13 @@ def logdet_batch(r: float, q: np.ndarray, l_max: int,
     if np.any(q <= 0):
         raise ValueError("kappa*d must be > 0")
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
+    rad_log = _radial_ladder(q, l_max)
     acc = np.zeros(q.shape[0])
     quiet = 0
     for m in range(0, l_max + 1):
         w = 1.0 if m == 0 else 2.0
         # a block may drop 1e-2 m_rel_tol of the sum so far: none at m = 0
-        contrib = w * _block_logdets(m, l_max, q, r, lt_m, lt_e,
+        contrib = w * _block_logdets(m, l_max, q, r, lt_m, lt_e, rad_log,
                                      budget=1e-2 * m_rel_tol * np.abs(acc) / w)
         acc += contrib
         m_used = m
@@ -220,7 +227,8 @@ def roundtrip_block(geometry: Geometry, kappa: float, m: int,
     q = np.array([kappa * geometry.d])
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
     l0 = max(1, m)
-    one_way = _one_way(_atilde_batch(m, l0, l_max, q, r, lt_m, lt_e),
+    one_way = _one_way(_atilde_batch(m, l0, l_max, q, r, lt_m, lt_e,
+                                     _radial_ladder(q, l_max)),
                        l0, l_max)[0]
     return RoundTripBlock(m=m, matrix=one_way @ one_way, kappa=kappa)
 

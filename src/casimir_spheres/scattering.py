@@ -32,6 +32,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import specfun
+from .errors import NonConvergenceError
+
+# terms of the E-mode numerator series before it counts as not converged;
+# at y = q_max r = 95 (the r = 0.45 table) it converges after about 100
+_EE_SERIES_MAX_TERMS = 600
 
 
 class Polarization(str, Enum):
@@ -85,10 +90,18 @@ def _ee_numerator_log_series(l: np.ndarray, y: float) -> np.ndarray:
         # c_k / c_{k-1} = q * (l+1+2k) / (k (l+1/2+k) (l+2k-1))
         term = term * q * (l + 1.0 + 2 * k) / (k * (l + 0.5 + k) * (l + 2.0 * k - 1.0))
         total += term
-        if np.all(term <= 1e-18 * total) or k > 400:
+        if np.all(term <= 1e-18 * total):
             break
+        _check_series_terms(k, y)
     return ((l + 0.5) * math.log(0.5 * y) - gammaln(l + 1.5)
             + np.log(total) - y)
+
+
+def _check_series_terms(k: int, y) -> None:
+    if k >= _EE_SERIES_MAX_TERMS:
+        raise NonConvergenceError(
+            f"E-mode numerator series not converged after {k} terms at "
+            f"kappa*R up to {np.max(y):g}")
 
 
 def t_scaled_log(l_max: int, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +157,9 @@ def t_scaled_log_vec(l_max: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         k += 1
         term = term * q * (ls + 1.0 + 2 * k) / (k * (ls + 0.5 + k) * (ls + 2.0 * k - 1.0))
         total += term
-        if np.all(term <= 1e-18 * total) or k > 600:
+        if np.all(term <= 1e-18 * total):
             break
+        _check_series_terms(k, y)
     log_num = (ls + 0.5) * np.log(0.5 * yv) - gammaln(ls + 1.5) + np.log(total) - yv
     log_den = log_k[:, 1:] + np.log(ls + yv * np.exp(log_k[:, :-1] - log_k[:, 1:]))
     log_t_ee = ln_half_pi + log_num - log_den

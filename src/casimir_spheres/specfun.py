@@ -27,8 +27,6 @@ import numpy as np
 
 L_CEILING_DEFAULT = 200
 
-_LN_SQRT_PI_OVER_2 = 0.5 * math.log(math.pi / 2.0)
-
 # renormalisation threshold for recurrences carried in linear space
 _RENORM = 1e280
 _LN_RENORM = math.log(_RENORM)
@@ -187,16 +185,6 @@ def log_khat_spherical_ladder(p_max: int, x: float) -> np.ndarray:
             shift += _LN_RENORM
         logk[p + 1] = math.log(hi) + shift
     return logk
-
-
-def scaled_sph_i_ladder(p_max: int, x: float) -> np.ndarray:
-    """Scaled modified spherical Bessel ``i_p(x) e^{-x}`` for p = 0..p_max.
-
-    Thin wrapper over the half-integer ladder; intended for moderate x
-    where the scaled values are representable.
-    """
-    log_i = log_scaled_iv_ladder(p_max, x)
-    return np.exp(log_i + _LN_SQRT_PI_OVER_2 - 0.5 * math.log(x))
 
 
 def log_scaled_iv_ladder_vec(l_max: int, x: np.ndarray) -> np.ndarray:

@@ -33,7 +33,11 @@ reproduce the closed-form two-dipole round-trip trace (see
 Both symbols are symmetric in (l, l') and the prefactor's only
 asymmetric factor is the destination gauge (-1)^{l'+1}, so both
 sectors obey ``U[l', l] = (-1)^{l+l'} U[l, l']``: the coupling tensors are
-built on the n(n+1)/2 pairs l <= l' and mirrored.  Wigner symbols with the
+built and held on the n(n+1)/2 pairs l <= l' only, packed per anti-diagonal
+in the order the round-trip assembly reads them.  Every pair's symbols come
+from its own recurrence, so the tensors at l_max are the leading pairs of
+those at any larger l_max: one store per (m, l0) serves every smaller
+l_max as a view and grows by the new pairs only.  Wigner symbols with the
 (m, -m, 0) magnetic structure are generated by the three-term recurrence in
 p, held p-major (each step writes one contiguous row of all pairs, from a
 coefficient table built once), run downward and upward in plain values
@@ -47,8 +51,9 @@ suite, up to l' = 200, and by the m-orthogonality of the symbols.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -61,6 +66,7 @@ __all__ = [
     "dipole_translation_limit",
     "DipoleCouplings",
     "coupling_tensors",
+    "PackedCouplings",
     "parity_signs",
 ]
 
@@ -163,35 +169,168 @@ def _wigner3j_mseq(m: int, l: np.ndarray, lp: np.ndarray,
     return f[:p_len].T
 
 
-def coupling_tensors(m: int, l0: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-m coupling tensors (GA, GB) of shape (n, n, p_len).
+@lru_cache(maxsize=1024)
+def antidiagonal_pairs(n: int, n_held: int = 0
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, off)``: the pairs i <= j < n with j >= ``n_held``, ordered
+    by anti-diagonal s = i + j, which holds ``off[s]:off[s + 1]``, and by
+    ascending i within it.  Memoised; the arrays are read-only."""
+    s = np.arange(2 * n - 1)
+    lo = np.maximum(0, s - n + 1)
+    count = np.maximum(np.minimum(s // 2, s - n_held) - lo + 1, 0)
+    off = np.concatenate([[0], np.cumsum(count)])
+    i = np.arange(off[-1]) - np.repeat(off[:-1] - lo, count)
+    out = i, np.repeat(s, count) - i, off
+    for a in out:
+        a.setflags(write=False)
+    return out
 
-    ``n = l_max - l0 + 1`` spans l = l0..l_max and ``p_len = 2 l_max + 2``.
-    The polarization-preserving block of the translation matrix is
-    ``sum_p GA[i,j,p] k_p(x)`` and the mixing block ``sum_p GB[i,j,p] k_p(x)``;
-    the channel prefactor is folded in.  Only the pairs l <= l' are
-    computed; the others follow from ``U[l', l] = (-1)^{l+l'} U[l, l']``.
-    The arrays are C-contiguous.  Small tensors are memoised (they are
-    frequency independent and dominate the cost of repeated
-    single-frequency evaluations).
+
+@dataclass(frozen=True)
+class PackedCouplings:
+    """GA and GB of one (m, l0) on the pairs l <= l', anti-diagonal-major.
+
+    ``blocks[s]`` holds the pairs of anti-diagonal s = (l - l0) + (l' - l0),
+    whose p-sums end at P = 2 l0 + 1 + s, rows i = l - l0 ascending: GA on
+    p = P-1, P-3, ... in its first (P+1)//2 columns, then GB on
+    p = P, P-2, ... (no GB columns at m = 0, where GB vanishes).  The blocks
+    may be held for a larger l_max than ``l_max``: the rows for this l_max
+    are then the tail i >= s - n + 1 of each of the first 2n - 1 blocks.
     """
-    if l_max <= _COUPLING_CACHE_LMAX:
-        return _coupling_tensors_cached(m, l0, l_max)
-    return _coupling_tensors_impl(m, l0, l_max)
+
+    m: int
+    l0: int
+    l_max: int
+    blocks: list
+
+    @property
+    def n(self) -> int:
+        return self.l_max - self.l0 + 1
+
+    @cached_property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self.blocks)
+
+    def at(self, l_max: int) -> "PackedCouplings":
+        """The view at a smaller or equal l_max."""
+        return PackedCouplings(self.m, self.l0, l_max, self.blocks)
+
+    def diagonals(self):
+        """(GA, GB) rows of each anti-diagonal s = 0..2n-2 at this l_max,
+        as views."""
+        n, n_held = self.n, (len(self.blocks) + 1) // 2
+        for s, block in enumerate(self.blocks[:2 * n - 1]):
+            rows = block[max(0, s - n + 1) - max(0, s - n_held + 1):]
+            n_a = self.l0 + 1 + s // 2           # (P + 1) // 2
+            yield rows[:, :n_a], rows[:, n_a:]
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray]:
+        """(GA, GB) of shape (n, n, p_len), p_len = 2 l_max + 2, both
+        halves filled by U[l', l] = (-1)^{l+l'} U[l, l'] (inspection and
+        tests; the assembly reads the packed blocks)."""
+        n = self.n
+        ga = np.zeros((n, n, 2 * self.l_max + 2))
+        gb = np.zeros_like(ga)
+        i, j, off = antidiagonal_pairs(n)
+        for s, (a, b) in enumerate(self.diagonals()):
+            k = slice(off[s], off[s + 1])
+            big_p = 2 * self.l0 + 1 + s
+            ga[i[k], j[k], big_p - 1::-2] = a
+            if self.m:
+                gb[i[k], j[k], big_p::-2] = b
+        sign = np.where((i + j) % 2 == 0, 1.0, -1.0)[:, None]
+        ga[j, i] = sign * ga[i, j]
+        gb[j, i] = sign * gb[i, j]
+        return ga, gb
 
 
-_COUPLING_CACHE_LMAX = 48
+def coupling_tensors(m: int, l0: int, l_max: int) -> PackedCouplings:
+    """Per-m coupling tensors, packed: see :class:`PackedCouplings`.
 
-
-def _coupling_tensors_impl(m: int, l0: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    The pairs (l, l') span l0..l_max and ``p_len = 2 l_max + 2``.  The
+    polarization-preserving block of the translation matrix is
+    ``sum_p GA[i,j,p] k_p(x)`` and the mixing block ``sum_p GB[i,j,p] k_p(x)``;
+    the channel prefactor is folded in.  Only the pairs l <= l' are held;
+    the others follow from ``U[l', l] = (-1)^{l+l'} U[l, l']``
+    (:meth:`PackedCouplings.expand`).  Served from the store of
+    ``_coupling_tensors_cached``: the tensors are frequency independent,
+    and those at l_max are the leading pairs of those at any larger l_max.
+    """
     if m < 0:
         raise ValueError("m must be >= 0 (negative m by symmetry)")
     if l0 < max(1, m) or l_max < l0:
         raise ValueError("require max(1, m) <= l0 <= l_max")
+    return _coupling_tensors_cached(m, l0, l_max)
+
+
+# bytes of packed tensors the store holds before it evicts, least recently
+# used first; the benchmark workloads' ladders, with probes at l_max 115,
+# fill 64 MB (points) and 75 MB (near-curve)
+_COUPLING_STORE_BYTES = 128 * 2**20
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _CouplingStore:
+    """Packed coupling tensors per (m, l0), grown on demand.
+
+    A request up to the held l_max is a hit and gets a view; a larger one
+    is a miss, which grows the held tensors by the new pairs
+    (:func:`_coupling_tensors_impl`).  ``cache_info()`` reads like an lru
+    cache's, with sizes in bytes.
+    """
+
+    def __init__(self):
+        self._held: OrderedDict = OrderedDict()
+        self.hits = self.misses = 0
+
+    def __call__(self, m: int, l0: int, l_max: int) -> PackedCouplings:
+        key = (m, l0)
+        g = self._held.get(key)
+        if g is not None and g.l_max >= l_max:
+            self.hits += 1
+            self._held.move_to_end(key)
+            return g.at(l_max)
+        self.misses += 1
+        g = self._held[key] = _coupling_tensors_impl(m, l0, l_max)
+        self._held.move_to_end(key)
+        total = self.nbytes
+        while total > _COUPLING_STORE_BYTES and len(self._held) > 1:
+            total -= self._held.popitem(last=False)[1].nbytes
+        return g
+
+    def held(self, m: int, l0: int) -> PackedCouplings | None:
+        return self._held.get((m, l0))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(g.nbytes for g in self._held.values())
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, _COUPLING_STORE_BYTES,
+                         self.nbytes)
+
+    def cache_clear(self) -> None:
+        self.__init__()
+
+
+_coupling_tensors_cached = _CouplingStore()
+
+
+def _coupling_tensors_impl(m: int, l0: int, l_max: int) -> PackedCouplings:
+    """Packed tensors of (m, l0) up to l_max, built into the store's layout.
+
+    If the store holds (m, l0) at a smaller l_max, only the pairs with l'
+    above it are computed and prepended to the held rows of each
+    anti-diagonal; otherwise every pair is.  Each pair's symbols come from
+    its own recurrence, so both ways give the same values.
+    """
+    held = _coupling_tensors_cached.held(m, l0)
+    old = held.blocks if held is not None and held.l_max < l_max else []
     n = l_max - l0 + 1
     p_len = 2 * l_max + 2
-    # the pairs l <= l'; every array below is p-major, (p_len, npair)
-    i, j = np.triu_indices(n)
+    # the new pairs; every array below is p-major, (p_len, npair)
+    i, j, off = antidiagonal_pairs(n, (len(old) + 1) // 2)
     L = (l0 + i).astype(float)
     Lp = (l0 + j).astype(float)
     pf = np.arange(p_len, dtype=float)[:, None]
@@ -213,31 +352,30 @@ def _coupling_tensors_impl(m: int, l0: int, l_max: int) -> tuple[np.ndarray, np.
     wm = (2.0 * pf + 1.0) * wm * pref      # the factor both sectors share
 
     lam = L * (L + 1.0) + Lp * (Lp + 1.0)
-    ga = _mirror((lam - pf * (pf + 1.0)) * wm * w000, n, i, j)
-    if m == 0:
-        return ga, np.zeros_like(ga)
-    gb = np.sqrt(np.maximum(((L + Lp + 1.0)**2 - pf**2)
-                            * (pf**2 - (L - Lp)**2), 0.0)) * wm
-    gb[1:] *= w000[:-1]          # (l, l', p - 1; 0, 0, 0)
-    gb[0] = 0.0
-    return ga, _mirror(gb, n, i, j)
+    ga = (lam - pf * (pf + 1.0)) * wm * w000
+    if m:
+        gb = np.sqrt(np.maximum(((L + Lp + 1.0)**2 - pf**2)
+                                * (pf**2 - (L - Lp)**2), 0.0)) * wm
+        gb[1:] *= w000[:-1]          # (l, l', p - 1; 0, 0, 0)
+        gb[0] = 0.0
+    del wm, w000
 
-
-def _mirror(half: np.ndarray, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """(n, n, p_len) tensor from its p-major l <= l' half, (p_len, npair).
-
-    Both sectors obey U[l', l] = (-1)^{l+l'} U[l, l']: the Wigner products
-    are symmetric in (l, l') and the destination gauge (-1)^{l'+1} is not.
-    """
-    full = np.empty((n, n, half.shape[0]))
-    full[i, j] = half.T
-    full[j, i] = half.T * np.where((i + j) % 2 == 0, 1.0, -1.0)[:, None]
-    return full
-
-
-@lru_cache(maxsize=2048)
-def _coupling_tensors_cached(m: int, l0: int, l_max: int):
-    return _coupling_tensors_impl(m, l0, l_max)
+    blocks = []
+    for s in range(2 * n - 1):
+        k = slice(off[s], off[s + 1])
+        big_p = 2 * l0 + 1 + s
+        n_a = (big_p + 1) // 2
+        rows = off[s + 1] - off[s]
+        held_rows = old[s].shape[0] if s < len(old) else 0
+        block = np.empty((rows + held_rows,
+                          n_a + (big_p // 2 + 1 if m else 0)))
+        block[:rows, :n_a] = ga[big_p - 1::-2, k].T
+        if m:
+            block[:rows, n_a:] = gb[big_p::-2, k].T
+        if held_rows:
+            block[rows:] = old[s]
+        blocks.append(block)
+    return PackedCouplings(m, l0, l_max, blocks)
 
 
 def parity_signs(l0: int, l_max: int) -> np.ndarray:
@@ -309,7 +447,7 @@ def _assemble_entries(m: int, x: float, l0: int, l_max: int,
     radial rotation leaves a factor ``-(pi/2) (-1)^p``, the latter acting
     as a parity conjugation.
     """
-    ga, gb = coupling_tensors(m, l0, l_max)
+    ga, gb = coupling_tensors(m, l0, l_max).expand()
     p_len = ga.shape[2]
     rad_log, _ = _radial_log(p_len, x, radial)
 

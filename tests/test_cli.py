@@ -75,6 +75,21 @@ def test_linalg_error_is_numerical_exit_code(monkeypatch):
     assert "did not converge" in err
 
 
+def test_overflow_error_is_numerical_exit_code(monkeypatch):
+    """An OverflowError from a special-function ladder is a numerical
+    failure (exit 3), not an uncaught traceback."""
+    from casimir_spheres import specfun
+
+    def fail(*args, **kwargs):
+        raise OverflowError("I/K ratio overflows")
+    monkeypatch.setattr(specfun, "log_khat_spherical_ladder_vec", fail)
+    code, _, err = run_cli(["energy", "--r", "0.2", "--z", "1",
+                            "--branch", "numeric", "--reproducible"])
+    assert code == 3
+    assert err.startswith("error:numerical:")
+    assert "overflows" in err
+
+
 def test_json_output():
     code, out, _ = run_cli(["energy", "--r", "0.01", "--z", "1.0",
                             "--branch", "asymptotic", "--output", "json",

@@ -140,11 +140,12 @@ def test_against_independent_determinant_oracle(testdata):
         else:
             from casimir_spheres import scattering
             lt_m, lt_e = scattering.t_scaled_log_vec(l_max, np.array([q * r]))
+            rad = rt._radial_ladder(np.array([q]), l_max)
             got = 0.0
             for m in case["m_values"]:
                 w = 1.0 if m == 0 else 2.0
                 got += w * rt._block_logdets(m, l_max, np.array([q]), r,
-                                             lt_m, lt_e)[0]
+                                             lt_m, lt_e, rad)[0]
         assert got == pytest.approx(float(case["value"]),
                                     rel=case.get("rtol", 2e-10), abs=0.0)
 
@@ -195,7 +196,7 @@ def _full_atilde_reference(m, l_max, q, r, lt_m, lt_e):
     from casimir_spheres.specfun import log_khat_spherical_ladder_vec
     l0 = max(1, m)
     n = l_max - l0 + 1
-    ga, gb = translation.coupling_tensors(m, l0, l_max)
+    ga, gb = translation.coupling_tensors(m, l0, l_max).expand()
     ps = np.arange(ga.shape[2])
     qa = np.array([q])
     rad = (math.log(math.pi / 2.0) + log_khat_spherical_ladder_vec(ps[-1], qa)[0]
@@ -226,7 +227,8 @@ def test_one_way_operator_symmetric_and_mirror_exact(m):
     dpar = translation.parity_signs(l0, l_max)
     qs = np.array([1e-3, 0.3, 3.0, 20.0])
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, qs * r)
-    one_way = rt._one_way(rt._atilde_batch(m, l0, l_max, qs, r, lt_m, lt_e),
+    one_way = rt._one_way(rt._atilde_batch(m, l0, l_max, qs, r, lt_m, lt_e,
+                                           rt._radial_ladder(qs, l_max)),
                           l0, l_max)
     for k, q in enumerate(qs):
         mk = one_way[k]
@@ -252,8 +254,9 @@ def test_trace_budget_against_exact_path_and_series_values():
         np.linspace(1.0, q_max, 360)]))[::20]
     g, m_max = rt.logdet_batch(r, grid, l_max, m_rel_tol=m_tol)
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, grid * r)
+    rad = rt._radial_ladder(grid, l_max)
     exact = sum((1.0 if m == 0 else 2.0)
-                * rt._block_logdets(m, l_max, grid, r, lt_m, lt_e)
+                * rt._block_logdets(m, l_max, grid, r, lt_m, lt_e, rad)
                 for m in range(m_max + 1))
     # each block m >= 1 drops at most 1e-2 m_tol of |g|
     assert np.all(np.abs(g - exact) <= 1e-2 * m_tol * m_max * np.abs(exact))
@@ -269,3 +272,19 @@ def test_trace_budget_against_exact_path_and_series_values():
         -2.4948133175414777e-15, -2.4564336770620353e-16,
         -2.418147706913156e-17, -2.3800530041827913e-18])
     assert np.all(np.abs(g / series - 1.0) <= 1e-11)
+
+
+def test_logdet_batch_served_from_a_larger_build_equals_cold_run(monkeypatch):
+    """At l_max 48, logdet_batch after an l_max-115 run reads views of the
+    115 coupling tensors and returns a cold run's values bit for bit."""
+    store = translation._CouplingStore()
+    monkeypatch.setattr(translation, "_coupling_tensors_cached", store)
+    r, q, m_tol = 0.41, np.array([1e-3, 0.3, 3.0, 20.0]), 5e-11
+    cold, m_cold = rt.logdet_batch(r, q, 48, m_rel_tol=m_tol)
+    store.cache_clear()
+    rt.logdet_batch(r, q, 115, m_rel_tol=m_tol)
+    misses = store.cache_info().misses
+    warm, m_warm = rt.logdet_batch(r, q, 48, m_rel_tol=m_tol)
+    assert store.cache_info().misses == misses
+    assert m_warm == m_cold
+    assert np.array_equal(warm, cold)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from casimir_spheres import scattering
+from casimir_spheres.errors import NonConvergenceError
 from casimir_spheres.scattering import MultipoleIndex, Polarization
 
 
@@ -101,3 +102,24 @@ def test_multipole_index_invariants():
         MultipoleIndex(l=0, m=0, pol=Polarization.M)
     with pytest.raises(ValueError):
         MultipoleIndex(l=1, m=2, pol=Polarization.M)
+
+
+@pytest.mark.parametrize("l_max, y", [(48, 95.0), (20, 24.0), (60, 84.0)])
+def test_vectorised_ee_series_matches_scalar_ladder(l_max, y):
+    """The vectorised ladder sums the E-numerator series at every l; the
+    scalar one switches to a log-difference at y >= 2l + 4.  They agree at
+    y = 95, the r = 0.45 table's q_max r, and across the seam y = 2l + 4
+    (l = 10 at y = 24, l = 40 at y = 84)."""
+    lm_vec, le_vec = scattering.t_scaled_log_vec(l_max, np.array([y]))
+    lm, le = scattering.t_scaled_log(l_max, y)
+    assert np.max(np.abs(le_vec[0] - le)) < 1e-12
+    assert np.max(np.abs(lm_vec[0] - lm)) < 1e-12
+
+
+def test_ee_series_raises_instead_of_truncating(monkeypatch):
+    """At y = 95 the series needs about 95 terms; capped below that it
+    raises instead of returning a truncated sum."""
+    monkeypatch.setattr(scattering, "_EE_SERIES_MAX_TERMS", 50)
+    with pytest.raises(NonConvergenceError, match="not converged after 50"):
+        scattering.t_scaled_log_vec(48, np.array([0.5, 95.0]))
+    scattering.t_scaled_log_vec(48, np.array([0.5, 20.0]))

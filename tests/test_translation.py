@@ -152,7 +152,7 @@ def test_entries_finite_at_large_kappa_d():
 def test_coupling_tensor_transposition():
     """Couplings obey U[l', l] = (-1)^{l+l'} U[l, l'] in both sectors."""
     l0, l_max = 2, 6
-    ga, gb = coupling_tensors(2, l0, l_max)
+    ga, gb = coupling_tensors(2, l0, l_max).expand()
     ls = np.arange(l0, l_max + 1)
     par = (-1.0) ** (ls[:, None] + ls[None, :])
     assert np.allclose(np.swapaxes(ga, 0, 1), par[:, :, None] * ga,
@@ -183,7 +183,7 @@ def test_coupling_tensor_mirror_half_at_l_max_57(m):
     """The l > l' half of the tensors is the mirror of the l <= l' half;
     the Wigner symbols behind it are symmetric in (l, l')."""
     l0, l_max = max(1, m), 57
-    ga, gb = coupling_tensors(m, l0, l_max)
+    ga, gb = coupling_tensors(m, l0, l_max).expand()
     ls = np.arange(l0, l_max + 1)
     par = (-1.0) ** (ls[:, None] + ls[None, :])
     lower = np.tril_indices(ls.size, -1)
@@ -245,3 +245,64 @@ def test_wigner_mseq_exact_with_m_equal_l_at_l_200():
               p_max}:
         assert seq[p] == pytest.approx(exact_w3j(l, lp, p, m, -m, 0),
                                        rel=1e-12, abs=1e-15), p
+
+
+def _empty_store(monkeypatch):
+    store = tr._CouplingStore()
+    monkeypatch.setattr(tr, "_coupling_tensors_cached", store)
+    return store
+
+
+def _fresh(monkeypatch, m, l_max):
+    """Packed tensors built from nothing, in a store of their own."""
+    _empty_store(monkeypatch)
+    return tr.coupling_tensors(m, max(1, m), l_max)
+
+
+def _same_blocks(a, b):
+    return a.n == b.n and all(
+        np.array_equal(x, y) for da, db in zip(a.diagonals(), b.diagonals())
+        for x, y in zip(da, db))
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_store_slice_of_larger_build_is_exact(monkeypatch, m):
+    """The tensors at l_max 24 and 48 are read as views of one build at
+    115, bit-identical to builds at 24 and 48."""
+    store = _empty_store(monkeypatch)
+    tr.coupling_tensors(m, max(1, m), 115)
+    views = {L: tr.coupling_tensors(m, max(1, m), L) for L in (24, 48)}
+    assert store.cache_info()[:2] == (2, 1)
+    for L, view in views.items():
+        assert _same_blocks(view, _fresh(monkeypatch, m, L)), L
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_store_growth_equals_fresh_build(monkeypatch, m):
+    """Growing 48 -> 96 -> 115 computes only the pairs with l' above the
+    held l_max and gives a fresh 115 build bit for bit."""
+    store = _empty_store(monkeypatch)
+    for L in (48, 96, 115):
+        grown = tr.coupling_tensors(m, max(1, m), L)
+    assert store.cache_info()[:2] == (0, 3)
+    fresh = _fresh(monkeypatch, m, 115)
+    assert _same_blocks(grown, fresh)
+    assert grown.nbytes == fresh.nbytes
+
+
+def test_store_evicts_least_recently_used_above_its_byte_bound(monkeypatch):
+    """Under a bound that holds one m-block at a time the store evicts the
+    least recently used block and rebuilds it exactly when asked again."""
+    ref = {m: _fresh(monkeypatch, m, 30) for m in (1, 2, 3)}
+    store = _empty_store(monkeypatch)
+    monkeypatch.setattr(tr, "_COUPLING_STORE_BYTES",
+                        int(1.5 * ref[1].nbytes))
+    for m in (1, 2, 3, 1):
+        assert _same_blocks(tr.coupling_tensors(m, m, 30), ref[m]), m
+    info = store.cache_info()
+    assert (info.hits, info.misses) == (0, 4)
+    assert info.currsize == ref[1].nbytes <= info.maxsize
+    assert store.held(1, 1) is not None and store.held(3, 3) is None
+    # a larger request grows the held block and keeps only it
+    assert _same_blocks(tr.coupling_tensors(1, 1, 40),
+                        _fresh(monkeypatch, 1, 40))
