@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -68,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--units", choices=["ad", "si"], default="ad")
         sp.add_argument("--output", choices=["csv", "json"], default="csv")
         sp.add_argument("--out", default="-", help="output path (default stdout)")
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
         sp.add_argument("--reproducible", action="store_true",
                         help="omit the timestamp comment")
 
@@ -162,7 +162,7 @@ def _select_branch(branch: str, geometry: Geometry) -> str:
 
 
 def _rows_for(zs: np.ndarray, geometry: Geometry, branch: str, tol: float,
-              si: bool, jobs: int):
+              si: bool):
     """Rows of (z, E_ad, S_ad, F_ad, branch, l_max, err_est), and the
     determinant table at r on the numeric branch (else None)."""
     r = geometry.r
@@ -176,15 +176,8 @@ def _rows_for(zs: np.ndarray, geometry: Geometry, branch: str, tol: float,
         l_max = int(curve.diff_step_policy.get("l_max", 0))
         err = tol
     elif branch == "asymptotic":
-        def one(z):
-            return (float(asymptotics.e_ad(z)), float(asymptotics.s_ad(z)),
-                    float(asymptotics.f_ad(z)))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                vals = list(ex.map(one, zs))
-        else:
-            vals = [one(z) for z in zs]
-        e_arr, s_arr, f_arr = map(np.array, zip(*vals))
+        e_arr, s_arr, f_arr = (asymptotics.e_ad(zs), asymptotics.s_ad(zs),
+                               asymptotics.f_ad(zs))
     elif branch == "pfa":
         conv = energy_scale_ad(geometry)
         def one(z):
@@ -335,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.units == "si" and geometry.d == 1.0 and args.r is not None:
             raise ValueError("SI output needs SI geometry (--R and --d/--ell)")
         rows, table = _rows_for(zs, geometry, branch, args.tol,
-                                si=args.units == "si", jobs=args.jobs)
+                                si=args.units == "si")
         notes = []
         if args.mode == "sweep" and branch == "numeric":
             rep = thermo.scan_entropy_features(geometry.r, zs, tol=args.tol,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -53,15 +53,18 @@ class FreeEnergyResult:
 
 def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
                      l_ceiling: int = roundtrip.L_CEILING_DEFAULT,
-                     l_start: int | None = None) -> tuple[int, np.ndarray, float]:
+                     l_start: int | None = None,
+                     logdet_batch=None) -> tuple[int, np.ndarray, float]:
     """Smallest l_max from the doubling ladder with converged+confirmed probes.
 
     Doubles until every probe changes by less than ``tol`` relative, then
     confirms with a further enlarged l_max (the second consecutive pass at
     bounded cost).  A below-tol change L -> 2L certifies stage L itself, so
     the *smaller* stage is returned for evaluation.  Returns
-    ``(l_max, g_at_probe, worst_change)``.
+    ``(l_max, g_at_probe, worst_change)``.  ``logdet_batch`` replaces
+    :func:`roundtrip.logdet_batch` (same signature), e.g. to count calls.
     """
+    logdet_batch = logdet_batch or roundtrip.logdet_batch
     l_max = l_start if l_start is not None else roundtrip._start_l_max(r)
     m_tol = 0.05 * tol
     # thin wide probe sets: the convergence profile is smooth in kappa, so
@@ -70,13 +73,13 @@ def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
     if q_full.shape[0] > 8:
         idx = np.unique(np.linspace(0, q_full.shape[0] - 1, 8).astype(int))
         q_probe = q_full[idx]
-    g_prev, _ = roundtrip.logdet_batch(r, q_probe, l_max, m_rel_tol=m_tol)
+    g_prev, _ = logdet_batch(r, q_probe, l_max, m_rel_tol=m_tol)
     while True:
         l_next = 2 * l_max
         if l_next > l_ceiling:
             raise NonConvergenceError(
                 f"l_max exceeded l_ceiling={l_ceiling} for r={r:g}")
-        g_next, _ = roundtrip.logdet_batch(r, q_probe, l_next, m_rel_tol=m_tol)
+        g_next, _ = logdet_batch(r, q_probe, l_next, m_rel_tol=m_tol)
         top = float(np.max(np.abs(g_next)))
         if top == 0.0:
             # every probe is below the underflow floor: trivially converged
@@ -89,8 +92,8 @@ def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
             # enlargement instead of a further doubling
             worst = np.argsort(rel)[-3:]
             l_conf = min(l_ceiling, l_next + max(8, l_next // 5))
-            g_conf, _ = roundtrip.logdet_batch(r, q_probe[worst], l_conf,
-                                               m_rel_tol=m_tol)
+            g_conf, _ = logdet_batch(r, q_probe[worst], l_conf,
+                                     m_rel_tol=m_tol)
             conf_change = float(np.max(np.abs(g_conf - g_next[worst])
                                        / scale[worst]))
             if conf_change < tol:
@@ -285,8 +288,15 @@ class DeterminantTable:
     Built once per (r, tol); free energies and entropies on whole z-grids
     are then sums over the spline, which reproduces direct evaluation to
     the table tolerance (validated in the test suite).  The spline carries
-    ``h(q) = log(-g(q))``, which is smooth and asymptotically linear, so
-    its analytic derivative also yields g'(q) for entropy sums.
+    ``h(q) = log(-g(q))``, which is smooth and asymptotically linear.
+
+    Each frequency is evaluated once: a refinement round evaluates only the
+    midpoints of the intervals the previous round split, and reads the
+    others, the same floats, from the rounds before.  The logarithmic slope
+    g'/g behind :meth:`gprime_of_q` and :meth:`s_ad` comes from paired
+    evaluations at every node, made on their first use, so a table read
+    only through :meth:`e_ad` never makes them.  ``freqs_evaluated``
+    counts the frequencies passed to :func:`roundtrip.logdet_batch`.
     """
 
     r: float
@@ -301,6 +311,7 @@ class DeterminantTable:
 
     def __post_init__(self):
         r = self.r
+        self._freqs = 0
         decay = 2.0 * (1.0 - 2.0 * r)
         self.q_max = 42.0 / decay
         grid = np.unique(np.concatenate([
@@ -308,26 +319,30 @@ class DeterminantTable:
             np.linspace(1.0, self.q_max, self.n_large),
         ]))
         l_max, _, _ = _converged_l_max(
-            r, np.array([*_STATIC_NODES, 0.3, 1.0, 3.0, 10.0]), self.tol)
+            r, np.array([*_STATIC_NODES, 0.3, 1.0, 3.0, 10.0]), self.tol,
+            logdet_batch=self._logdet_batch)
         self.l_max_used = l_max
-        m_tol = 0.05 * self.tol
-        g, _ = roundtrip.logdet_batch(r, grid, l_max, m_rel_tol=m_tol)
+        g = self._g_at(grid)
         # the determinant resolves |g| only down to machine epsilon; trim
         # the exhausted tail (its contribution is below any tolerance)
         keep = g < 0.0
         grid, g = grid[keep], g[keep]
         # static limit from the standard extrapolation ladder
-        q_st = np.asarray(_STATIC_NODES)
-        g_st, _ = roundtrip.logdet_batch(r, q_st, l_max, m_rel_tol=m_tol)
+        g_st = self._g_at(np.asarray(_STATIC_NODES))
         self.g0 = float((g_st[0] - 6.0 * g_st[1] + 8.0 * g_st[2]) / 3.0)
         # adaptive refinement: insert exact midpoints on intervals where the
         # spline mispredicts beyond the table tolerance; values close to the
         # determinant's absolute resolution floor are exempt (pure noise)
         noise_floor = 5e-15 * abs(self.g0)
+        g_of = {}
         for _ in range(self.max_refine):
             spl = CubicSpline(grid, np.log(-g))
             mid = 0.5 * (grid[:-1] + grid[1:])
-            g_mid, _ = roundtrip.logdet_batch(r, mid, l_max, m_rel_tol=m_tol)
+            # an interval left unsplit keeps its midpoint, the same float:
+            # only the midpoints of the intervals just split are new
+            new = [q for q in mid.tolist() if q not in g_of]
+            g_of.update(zip(new, self._g_at(np.array(new)).tolist()))
+            g_mid = np.array([g_of[q] for q in mid.tolist()])
             ok = g_mid < 0.0
             mid, g_mid = mid[ok], g_mid[ok]
             err = np.abs(-np.exp(spl(mid)) - g_mid) / np.maximum(
@@ -343,14 +358,36 @@ class DeterminantTable:
         self._g = g
         self.q_max = float(grid[-1])
         self._spl = CubicSpline(grid, np.log(-g))
-        # logarithmic slope phi = g'/g from exact paired evaluations: the
-        # spline's own derivative is an order less accurate than its values,
-        # while phi is smooth and O(1), so entropy sums stay at table accuracy
-        dq = 5e-5 * np.maximum(grid, 0.5)
-        g_hi, _ = roundtrip.logdet_batch(r, grid + dq, l_max, m_rel_tol=m_tol)
-        g_lo, _ = roundtrip.logdet_batch(r, grid - dq, l_max, m_rel_tol=m_tol)
-        phi = (np.log(-g_hi) - np.log(-g_lo)) / (2.0 * dq)
-        self._phi = CubicSpline(grid, phi)
+
+    @property
+    def freqs_evaluated(self) -> int:
+        """Frequencies passed to logdet_batch: ladder probes, grid, static
+        nodes and new midpoints, plus the slope pairs once they are built."""
+        return self._freqs
+
+    def _logdet_batch(self, r, q, l_max, m_rel_tol):
+        """:func:`roundtrip.logdet_batch`, counted in ``freqs_evaluated``."""
+        self._freqs += len(q)
+        return roundtrip.logdet_batch(r, q, l_max, m_rel_tol=m_rel_tol)
+
+    def _g_at(self, q: np.ndarray) -> np.ndarray:
+        """g at the table's l_max and m-sum tolerance."""
+        g, _ = self._logdet_batch(self.r, q, self.l_max_used,
+                                  m_rel_tol=0.05 * self.tol)
+        return g
+
+    @cached_property
+    def _phi(self) -> CubicSpline:
+        """Spline of the logarithmic slope phi = g'/g on the nodes.
+
+        From exact paired evaluations: the spline's own derivative is an
+        order less accurate than its values, while phi is smooth and O(1),
+        so entropy sums stay at table accuracy.
+        """
+        dq = 5e-5 * np.maximum(self._q, 0.5)
+        g_hi = self._g_at(self._q + dq)
+        g_lo = self._g_at(self._q - dq)
+        return CubicSpline(self._q, (np.log(-g_hi) - np.log(-g_lo)) / (2.0 * dq))
 
     def g_of_q(self, q: np.ndarray) -> np.ndarray:
         """Spline evaluation of g(q); zero beyond the tabulated range."""
@@ -391,7 +428,8 @@ class DeterminantTable:
         return z * s / self.r**6
 
     def s_ad(self, z: float) -> float:
-        """Adimensional entropy -dE_ad/dz via the spline's exact derivative."""
+        """Adimensional entropy -dE_ad/dz from the tabulated slope g'/g
+        (the first call on a table evaluates it)."""
         if z <= 0:
             raise ValueError("z must be > 0")
         q = self.sum_weights(z)

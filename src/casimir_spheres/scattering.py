@@ -160,6 +160,10 @@ def t_scaled_log_vec(l_max: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if np.all(term <= 1e-18 * total):
             break
         _check_series_terms(k, y)
+    if not np.all(np.isfinite(total)):
+        # past y ~ 710 the terms overflow and the stop test passes as inf <= inf
+        raise OverflowError(
+            f"E-mode numerator series overflows at kappa*R up to {np.max(y):g}")
     log_num = (ls + 0.5) * np.log(0.5 * yv) - gammaln(ls + 1.5) + np.log(total) - yv
     log_den = log_k[:, 1:] + np.log(ls + yv * np.exp(log_k[:, :-1] - log_k[:, 1:]))
     log_t_ee = ln_half_pi + log_num - log_den

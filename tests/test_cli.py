@@ -122,6 +122,33 @@ def test_config_file_precedence(tmp_path):
     assert float(out.strip().splitlines()[-1].split(",")[0]) == 3.0
 
 
+def test_jobs_is_accepted_and_changes_nothing(tmp_path):
+    args = ["sweep", "--r", "0.01", "--z", "0.05:20:log200",
+            "--branch", "asymptotic", "--reproducible"]
+    code, out, _ = run_cli(args)
+    assert code == 0
+    assert run_cli(args + ["--jobs", "4"]) == (0, out, "")
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("jobs = 4\n")
+    assert run_cli(args + ["--config", str(cfg)]) == (0, out, "")
+
+
+def test_asymptotic_rows_equal_per_z_closed_forms():
+    """The rows come from one array call per quantity; they are the same
+    floats as one call per z."""
+    import numpy as np
+
+    from casimir_spheres import asymptotics
+    from casimir_spheres.geometry import Geometry
+    zs = np.geomspace(0.05, 20.0, 200)
+    rows, _ = cli._rows_for(zs, Geometry.from_ratio(0.01), "asymptotic",
+                            1e-9, si=False)
+    for row, z in zip(rows, zs):
+        assert row["E_ad"] == float(asymptotics.e_ad(z))
+        assert row["S_ad"] == float(asymptotics.s_ad(z))
+        assert row["F_ad"] == float(asymptotics.f_ad(z))
+
+
 def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")

@@ -123,3 +123,20 @@ def test_ee_series_raises_instead_of_truncating(monkeypatch):
     with pytest.raises(NonConvergenceError, match="not converged after 50"):
         scattering.t_scaled_log_vec(48, np.array([0.5, 95.0]))
     scattering.t_scaled_log_vec(48, np.array([0.5, 20.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("y", [715.0, 750.0, 800.0])
+def test_ee_series_overflow_raises(y):
+    """Past y ~ 710 the series terms overflow float64; the vectorised
+    ladder raises instead of returning log|T_E e^{-2y}| = +inf."""
+    with pytest.raises(OverflowError, match="overflows"):
+        scattering.t_scaled_log_vec(3, np.array([y]))
+
+
+@pytest.mark.parametrize("y", [600.0, 700.0])
+def test_ee_series_below_overflow_matches_scalar(y):
+    lm_vec, le_vec = scattering.t_scaled_log_vec(3, np.array([y]))
+    lm, le = scattering.t_scaled_log(3, y)
+    assert np.max(np.abs(le_vec[0] - le)) < 1e-12
+    assert np.max(np.abs(lm_vec[0] - lm)) < 1e-12
