@@ -175,23 +175,8 @@ def _rows_for(zs: np.ndarray, geometry: Geometry, branch: str, tol: float,
         e_arr, s_arr, f_arr = curve.e_ad, curve.s_ad, curve.f_ad
         l_max = int(curve.diff_step_policy.get("l_max", 0))
         err = tol
-    elif branch == "asymptotic":
-        e_arr, s_arr, f_arr = (asymptotics.e_ad(zs), asymptotics.s_ad(zs),
-                               asymptotics.f_ad(zs))
-    elif branch == "pfa":
-        conv = energy_scale_ad(geometry)
-        def one(z):
-            tp = ThermalPoint.from_z(z, geometry)
-            pt = pfa.PfaPoint(ell=geometry.ell, R=geometry.R, T=tp.T)
-            e = pfa.pfa_energy_sum(pt) / conv
-            s = pfa.pfa_entropy(pt) * geometry.d**6 / (K_B * geometry.R**6)
-            f = (pfa.pfa_force(pt) * 2.0 * math.pi * geometry.d**8
-                 / (HBAR_C * geometry.R**6))
-            return e, s, f
-        vals = [one(z) for z in zs]
-        e_arr, s_arr, f_arr = map(np.array, zip(*vals))
     else:
-        raise ValueError(f"unknown branch {branch}")
+        e_arr, s_arr, f_arr = thermo.closed_form_curve(geometry, zs, branch)
 
     rows = []
     for i, z in enumerate(zs):

@@ -33,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scattering, specfun, translation
+from . import scattering, translation
 from .errors import NonConvergenceError, SpectralRadiusError
 from .geometry import Geometry
+from .specfun import L_CEILING_DEFAULT
 
 __all__ = ["RoundTripBlock", "LogDetResult", "logdet_one_minus_n",
            "dipole_trace", "logdet_batch", "roundtrip_block"]
-
-L_CEILING_DEFAULT = 200
 
 # frequencies per assembly and eigenvalue pass in _block_logdets
 _Q_SLICE = 128
@@ -66,50 +65,30 @@ class RoundTripBlock:
     kappa: float
 
 
-def _radial_ladder(q: np.ndarray, l_max: int) -> np.ndarray:
-    """log(k_p(q) e^q) for p = 0..2 l_max + 1, shape (nq, 2 l_max + 2):
-    the radial factors of every m-block's p-sums, one ladder per batch."""
-    p_len = 2 * l_max + 2
-    return (math.log(math.pi / 2.0)
-            + specfun.log_khat_spherical_ladder_vec(p_len - 1, q)
-            - np.arange(1.0, p_len + 1.0)[None, :] * np.log(q)[:, None])
-
-
 def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
                   lt_m: np.ndarray, lt_e: np.ndarray,
                   rad_log: np.ndarray) -> np.ndarray:
     """Packed l <= l' half of ``e^{-q(1-2r)} A~`` for one m over a batch.
 
     ``lt_m``, ``lt_e`` are log|T e^{-2y}| ladders of shape (nq, l_max) and
-    ``rad_log`` is :func:`_radial_ladder` at this l_max or above.
-    Returns (nq, 2, 2, npair): [:, a, b, k] couples channel a at l_k to
-    channel b at l'_k, for the pairs of
+    ``rad_log`` is :func:`translation._radial_ladder` at this l_max or
+    above.  Returns (nq, 2, 2, npair): [:, a, b, k] couples channel a at
+    l_k to channel b at l'_k, for the pairs of
     :func:`translation.antidiagonal_pairs`, the order of the packed
-    coupling blocks.  The p-sum of entry (l, l') ends at P = l + l' + 1
-    and k_p increases with p, so each p-term scaled by k_p / k_P is at
-    most |G|.  One matmul over the batch
-    contracts the pairs of one anti-diagonal (equal P); k_P, the T-matrix
-    weights and the gap factor come back in one prefactor whose exponent
-    is summed before it is exponentiated (docs/derivations.md, section 1).
+    coupling blocks.  The p-sums scaled by 1/k_P come from
+    :func:`translation._scaled_sums`; k_P, the T-matrix weights and the gap
+    factor come back in one prefactor whose exponent is summed before it
+    is exponentiated (docs/derivations.md, section 1).
     """
-    g = translation.coupling_tensors(m, l0, l_max)
-    nq = q.shape[0]
     n = l_max - l0 + 1
-    i, j, off = translation.antidiagonal_pairs(n)
+    i, j = translation.antidiagonal_pairs(n)[:2]
     # scaled p-sums of the pairs: [:, 0] preserving, [:, 1] mixing
-    sums = np.zeros((nq, 2, i.size))
-    # the 3j selection rules put GA on p = P-1, P-3, ... and GB on P, P-2, ...
-    for s, (ga, gb) in enumerate(g.diagonals()):
-        k = slice(off[s], off[s + 1])
-        big_p = 2 * l0 + 1 + s
-        ref = rad_log[:, big_p, None]
-        sums[:, 0, k] = np.exp(rad_log[:, big_p - 1::-2] - ref) @ ga.T
-        if m:
-            sums[:, 1, k] = np.exp(rad_log[:, big_p::-2] - ref) @ gb.T
+    sums = translation._scaled_sums(translation.coupling_tensors(m, l0, l_max),
+                                    rad_log)
 
     lth = 0.5 * np.stack([lt_m[:, l0 - 1:], lt_e[:, l0 - 1:]], axis=1)
     # lth_l + lth_l' first, so the mirror pair (l', l) has the same exponent
-    out = np.empty((nq, 2, 2, i.size))
+    out = np.empty((q.shape[0], 2, 2, i.size))
     np.add(np.take(lth, i, axis=2)[:, :, None, :],
            np.take(lth, j, axis=2)[:, None, :, :], out=out)
     out += (np.take(rad_log, 2 * l0 + 1 + i + j, axis=1)
@@ -122,24 +101,16 @@ def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
 def _one_way(half: np.ndarray, l0: int, l_max: int) -> np.ndarray:
     """M = e^{-q(1-2r)} sigma A~ D, (nq, 2n, 2n), from the packed half.
 
-    Entry ((a, l), (b, l')), channels a, b in (M, E), is pair (l, l') of
-    (a, b) if l <= l', else pair (l', l) of (b, a) times the mirror sign
-    (-1)^{l+l'}; sigma = sign(T) (M < 0 < E) scales the rows and the
-    parity D the columns.  M is symmetric and M^2 is similar to N.
+    The half is unpacked by :func:`translation._unpack_index` through the
+    mirror A~[l', l] = (-1)^{l+l'} A~[l, l']; sigma = sign(T) (M < 0 < E)
+    scales the rows and the parity D the columns.  M is symmetric and M^2
+    is similar to N.
     """
     n = l_max - l0 + 1
-    npair = half.shape[-1]
-    ls = np.arange(n)
-    lo, hi = np.minimum.outer(ls, ls), np.maximum.outer(ls, ls)
-    k = (translation.antidiagonal_pairs(n)[2][lo + hi] + lo
-         - np.maximum(0, lo + hi - n + 1))
-    low = lo < ls[:, None]
-    idx = np.block([[k, k + npair * (1 + low)],
-                    [k + npair * (2 - low), k + 3 * npair]])
+    idx, mirror = translation._unpack_index(n)
     one_way = np.take(half.reshape(half.shape[0], -1), idx, axis=1)
     # in place: a fresh product array costs twice the gather
-    one_way *= (np.tile(np.where(low, (-1.0) ** (lo + hi), 1.0), (2, 2))
-                * np.repeat([-1.0, 1.0], n)[:, None]
+    one_way *= (mirror * np.repeat([-1.0, 1.0], n)[:, None]
                 * translation.parity_signs(l0, l_max))
     return one_way
 
@@ -196,7 +167,7 @@ def logdet_batch(r: float, q: np.ndarray, l_max: int,
     if np.any(q <= 0):
         raise ValueError("kappa*d must be > 0")
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
-    rad_log = _radial_ladder(q, l_max)
+    rad_log = translation._radial_ladder(q, l_max)
     acc = np.zeros(q.shape[0])
     quiet = 0
     for m in range(0, l_max + 1):
@@ -228,7 +199,7 @@ def roundtrip_block(geometry: Geometry, kappa: float, m: int,
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
     l0 = max(1, m)
     one_way = _one_way(_atilde_batch(m, l0, l_max, q, r, lt_m, lt_e,
-                                     _radial_ladder(q, l_max)),
+                                     translation._radial_ladder(q, l_max)),
                        l0, l_max)[0]
     return RoundTripBlock(m=m, matrix=one_way @ one_way, kappa=kappa)
 

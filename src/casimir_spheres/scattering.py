@@ -16,9 +16,13 @@ Internally everything is carried as the exponentially scaled quantity
 like ``exp(+2 kappa R)`` at large argument and underflow like
 ``(kappa R)^{2l+1}`` at small argument, while the scaled logs are benign.
 
-The E-mode numerator ``l I_{l+1/2} - x I_{l-1/2}`` is evaluated through its
-single-signed power series at small argument, which sidesteps the
-subtractive cancellation of the naive difference.
+The E-mode numerator ``l I_{l+1/2} - x I_{l-1/2}`` has one algorithm per
+entry, chosen by the seam ``x = 2l + 4``.  Below it the numerator is summed
+as its single-signed power series, which sidesteps the subtractive
+cancellation of the naive difference at small argument; at and above it
+the ``x I_{l-1/2}`` term dominates (``I_{l+1/2} < I_{l-1/2}``) and the
+difference is taken in the log domain from the Bessel ladder.  The series
+thus runs only where it needs at most about ``2 l_max + 4`` terms.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from . import specfun
 from .errors import NonConvergenceError
 
 # terms of the E-mode numerator series before it counts as not converged;
-# at y = q_max r = 95 (the r = 0.45 table) it converges after about 100
+# the series runs only below y = 2 l + 4, so about 100 suffice at l_max 48
 _EE_SERIES_MAX_TERMS = 600
 
 
@@ -73,30 +77,6 @@ class TMatrixBlock:
     diag_ee: np.ndarray
 
 
-def _ee_numerator_log_series(l: np.ndarray, y: float) -> np.ndarray:
-    """log|l I_{l+1/2}(y) - y I_{l-1/2}(y)| - y via the all-negative series.
-
-    The difference equals ``-sum_k (y/2)^{l+1/2+2k} (l+1+2k) /
-    (k! Gamma(l+k+3/2))``; all terms share one sign, so no cancellation.
-    Vectorised over integer orders ``l``.
-    """
-    l = np.asarray(l, dtype=float)
-    q = 0.25 * y * y
-    term = (l + 1.0).astype(float)
-    total = term.copy()
-    k = 0
-    while True:
-        k += 1
-        # c_k / c_{k-1} = q * (l+1+2k) / (k (l+1/2+k) (l+2k-1))
-        term = term * q * (l + 1.0 + 2 * k) / (k * (l + 0.5 + k) * (l + 2.0 * k - 1.0))
-        total += term
-        if np.all(term <= 1e-18 * total):
-            break
-        _check_series_terms(k, y)
-    return ((l + 0.5) * math.log(0.5 * y) - gammaln(l + 1.5)
-            + np.log(total) - y)
-
-
 def _check_series_terms(k: int, y) -> None:
     if k >= _EE_SERIES_MAX_TERMS:
         raise NonConvergenceError(
@@ -104,41 +84,13 @@ def _check_series_terms(k: int, y) -> None:
             f"kappa*R up to {np.max(y):g}")
 
 
-def t_scaled_log(l_max: int, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """log|T e^{-2y}| for both polarizations, l = 1..l_max, at y = kappa*R.
-
-    Returns ``(log_t_mm, log_t_ee)`` of length ``l_max``.  Signs are fixed:
-    the M element is negative and the E element positive for every y > 0.
-    """
-    if y <= 0:
-        raise ValueError("kappa*R must be > 0")
-    log_i = specfun.log_scaled_iv_ladder(l_max, y)
-    log_k = specfun.log_scaled_kv_ladder(l_max, y)
-    ls = np.arange(1, l_max + 1, dtype=float)
-    ln_half_pi = math.log(math.pi / 2.0)
-
-    log_t_mm = ln_half_pi + log_i[1:] - log_k[1:]
-
-    # numerator: series where it converges quickly, stable log-difference
-    # beyond (the two branches overlap; see tests for the seam check)
-    series_mask = y < (2.0 * ls + 4.0)
-    log_num = np.empty(l_max)
-    if np.any(series_mask):
-        log_num[series_mask] = _ee_numerator_log_series(ls[series_mask], y)
-    if np.any(~series_mask):
-        li_p = log_i[1:][~series_mask]
-        li_m = log_i[:-1][~series_mask]
-        lsm = ls[~series_mask]
-        # |l e^{li_p} - y e^{li_m}|, y-term dominant for y > 2l
-        log_num[~series_mask] = li_m + np.log(y - lsm * np.exp(li_p - li_m))
-    # denominator: l K_{l+1/2} + y K_{l-1/2}, both positive
-    log_den = log_k[1:] + np.log(ls + y * np.exp(log_k[:-1] - log_k[1:]))
-    log_t_ee = ln_half_pi + log_num - log_den
-    return log_t_mm, log_t_ee
-
-
 def t_scaled_log_vec(l_max: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`t_scaled_log` over arguments: shapes (len(y), l_max)."""
+    """log|T e^{-2y}| for both polarizations, l = 1..l_max, at each y = kappa*R.
+
+    Returns ``(log_t_mm, log_t_ee)`` of shape (len(y), l_max).  Signs are
+    fixed: the M element is negative and the E element positive for every
+    y > 0.
+    """
     y = np.asarray(y, dtype=float)
     log_i = specfun.log_scaled_iv_ladder_vec(l_max, y)
     log_k = specfun.log_scaled_kv_ladder_vec(l_max, y)
@@ -148,26 +100,45 @@ def t_scaled_log_vec(l_max: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     log_t_mm = ln_half_pi + log_i[:, 1:] - log_k[:, 1:]
 
-    # series evaluation of the E-mode numerator, vectorised over (y, l)
-    q = 0.25 * yv * yv
-    term = np.broadcast_to(ls + 1.0, (y.shape[0], l_max)).copy()
+    # E-mode numerator |l I_{l+1/2} - y I_{l-1/2}| e^{-y}: on the entries
+    # y < 2l + 4 the series sum_k (y/2)^{l+1/2+2k} (l+1+2k) /
+    # (k! Gamma(l+k+3/2)), whose terms share one sign; elsewhere its terms
+    # are zero (q = 0) and the log-difference below replaces them
+    series = yv < 2.0 * ls + 4.0
+    q = np.where(series, 0.25 * yv * yv, 0.0)
+    term = np.broadcast_to(ls + 1.0, series.shape).copy()
     total = term.copy()
     k = 0
     while True:
         k += 1
+        # c_k / c_{k-1} = q (l+1+2k) / (k (l+1/2+k) (l+2k-1))
         term = term * q * (ls + 1.0 + 2 * k) / (k * (ls + 0.5 + k) * (ls + 2.0 * k - 1.0))
         total += term
         if np.all(term <= 1e-18 * total):
             break
         _check_series_terms(k, y)
     if not np.all(np.isfinite(total)):
-        # past y ~ 710 the terms overflow and the stop test passes as inf <= inf
+        # the stop test passes as inf <= inf once the terms overflow
         raise OverflowError(
             f"E-mode numerator series overflows at kappa*R up to {np.max(y):g}")
     log_num = (ls + 0.5) * np.log(0.5 * yv) - gammaln(ls + 1.5) + np.log(total) - yv
+    far = ~series
+    if far.any():
+        # y >= 2l + 4: the y term dominates, y - l I_{l+1/2}/I_{l-1/2} > y - l
+        y_far = np.broadcast_to(yv, far.shape)[far]
+        l_far = np.broadcast_to(ls, far.shape)[far]
+        li_m, li_p = log_i[:, :-1][far], log_i[:, 1:][far]
+        log_num[far] = li_m + np.log(y_far - l_far * np.exp(li_p - li_m))
+    # denominator: l K_{l+1/2} + y K_{l-1/2}, both positive
     log_den = log_k[:, 1:] + np.log(ls + yv * np.exp(log_k[:, :-1] - log_k[:, 1:]))
     log_t_ee = ln_half_pi + log_num - log_den
     return log_t_mm, log_t_ee
+
+
+def t_scaled_log(l_max: int, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`t_scaled_log_vec` at one argument: arrays of length l_max."""
+    log_t_mm, log_t_ee = t_scaled_log_vec(l_max, np.array([y]))
+    return log_t_mm[0], log_t_ee[0]
 
 
 def tmatrix_mm(l: int, kappa_R: float) -> float:

@@ -12,10 +12,13 @@ the physically relevant products do.
 
 The ladders are computed by three-term recurrences in the stable
 direction: forward (upward in order) for K, backward Miller recursion for
-I seeded ``15 + ceil(x)`` orders above the requested one.  For extreme
-order/argument combinations the ladders are carried as natural logarithms
+I seeded ``15 + ceil(x)`` orders above the requested one.  Each ladder has
+one implementation, vectorised over its arguments: a batch of frequencies
+runs every recurrence step as one array operation, and the scalar entry
+points :func:`scaled_bessel_half` and :func:`bessel_ratio_mm` read row 0
+of a one-argument batch.  The ladders are carried as natural logarithms
 with explicit renormalisation, so no intermediate ever leaves the float64
-range.
+range for any order/argument combination.
 """
 
 from __future__ import annotations
@@ -54,63 +57,11 @@ class ScaledBesselPair:
     argument: float
 
 
-def log_scaled_iv_ladder(l_max: int, x: float) -> np.ndarray:
-    """Natural log of ``I_{l+1/2}(x) e^{-x}`` for l = 0..l_max.
-
-    Backward Miller recursion with exponent tracking; accurate for any
-    float64 ``x > 0`` and order, including combinations whose scaled
-    values themselves underflow.
-    """
-    if x <= 0:
-        raise ValueError("argument must be > 0")
-    l_start = l_max + 15 + int(math.ceil(min(x, 1e4)))
-    # unnormalised backward recursion f_{l-1} = f_{l+1} + (2l+1)/x * f_l
-    logf = np.empty(l_start + 1)
-    f_hi = 0.0
-    f_lo = 1e-300
-    shift = 0.0  # accumulated log-scale removed from the running pair
-    logf[l_start] = math.log(f_lo) + shift
-    for l in range(l_start, 0, -1):
-        f_hi, f_lo = f_lo, f_hi + ((2 * l + 1) / x) * f_lo
-        if f_lo > _RENORM:
-            f_lo *= 1e-280
-            f_hi *= 1e-280
-            shift += _LN_RENORM
-        logf[l - 1] = math.log(f_lo) + shift
-    # normalise against I_{1/2}(x) e^{-x} = (1 - e^{-2x}) / sqrt(2 pi x)
-    log_i0 = math.log1p(-math.exp(-2.0 * x)) - 0.5 * math.log(2.0 * math.pi * x)
-    return logf[: l_max + 1] - logf[0] + log_i0
-
-
-def log_scaled_kv_ladder(l_max: int, x: float) -> np.ndarray:
-    """Natural log of ``K_{l+1/2}(x) e^{+x}`` for l = 0..l_max.
-
-    Forward recurrence (stable for K) with exponent tracking.
-    """
-    if x <= 0:
-        raise ValueError("argument must be > 0")
-    logk = np.empty(l_max + 1)
-    k_lo = math.sqrt(math.pi / (2.0 * x))  # K_{1/2} e^x
-    logk[0] = math.log(k_lo)
-    if l_max == 0:
-        return logk
-    k_hi = k_lo * (1.0 + 1.0 / x)  # K_{3/2} e^x
-    shift = 0.0
-    logk[1] = math.log(k_hi)
-    for l in range(1, l_max):
-        k_lo, k_hi = k_hi, k_lo + ((2 * l + 1) / x) * k_hi
-        if k_hi > _RENORM:
-            k_hi *= 1e-280
-            k_lo *= 1e-280
-            shift += _LN_RENORM
-        logk[l + 1] = math.log(k_hi) + shift
-    return logk
-
-
-def scaled_bessel_ladder(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled pairs ``(I_{l+1/2} e^{-x}, K_{l+1/2} e^{+x})`` for l = 0..l_max."""
-    return (np.exp(log_scaled_iv_ladder(l_max, x)),
-            np.exp(log_scaled_kv_ladder(l_max, x)))
+def _log_pair(l: int, x: float) -> tuple[float, float]:
+    """(log I_{l+1/2}(x) e^{-x}, log K_{l+1/2}(x) e^{+x}) from the ladders."""
+    xs = np.array([x], dtype=float)
+    return (float(log_scaled_iv_ladder_vec(l, xs)[0, l]),
+            float(log_scaled_kv_ladder_vec(l, xs)[0, l]))
 
 
 def scaled_bessel_half(l: int, x: float,
@@ -131,8 +82,7 @@ def scaled_bessel_half(l: int, x: float,
         raise ValueError("order must be >= 0")
     if l > l_ceiling:
         raise OverflowError(f"order l={l} exceeds l_ceiling={l_ceiling}")
-    log_i = log_scaled_iv_ladder(l, x)[l]
-    log_k = log_scaled_kv_ladder(l, x)[l]
+    log_i, log_k = _log_pair(l, x)
     if log_k > 709.0 or log_i < -745.0:
         raise OverflowError(
             f"scaled Bessel values for l={l}, x={x:g} are outside float64 range; "
@@ -147,48 +97,22 @@ def bessel_ratio_mm(l: int, x: float) -> float:
     The exponential scalings cancel up to ``e^{2x}``, which is reinstated
     explicitly here.  Strictly positive and strictly increasing in x.
     """
-    if x <= 0:
-        raise ValueError("argument must be > 0")
-    log_i = log_scaled_iv_ladder(l, x)[l]
-    log_k = log_scaled_kv_ladder(l, x)[l]
+    log_i, log_k = _log_pair(l, x)
     log_ratio = log_i - log_k + 2.0 * x
     if log_ratio > 709.0:
         raise OverflowError(f"I/K ratio overflows for l={l}, x={x:g}")
     return math.exp(log_ratio)
 
 
-def log_khat_spherical_ladder(p_max: int, x: float) -> np.ndarray:
-    r"""Natural log of the power-scaled modified spherical Bessel function
-    :math:`\hat\kappa_p(x) = (2/\pi)\,x^{p+1} e^{x} k_p(x)` for p = 0..p_max.
-
-    :math:`\hat\kappa_0 = 1`, :math:`\hat\kappa_1 = 1 + x`, and
-    :math:`\hat\kappa_{p+1} = x^2 \hat\kappa_{p-1} + (2p+1)\hat\kappa_p`
-    (forward stable, all terms positive).  The true function is recovered as
-    ``k_p(x) = (pi/2) e^{-x} x^{-(p+1)} exp(log_khat[p])``.
-    """
-    if x <= 0:
-        raise ValueError("argument must be > 0")
-    logk = np.empty(p_max + 1)
-    lo = 1.0
-    logk[0] = 0.0
-    if p_max == 0:
-        return logk
-    hi = 1.0 + x
-    shift = 0.0
-    logk[1] = math.log(hi)
-    x2 = x * x
-    for p in range(1, p_max):
-        lo, hi = hi, x2 * lo + (2 * p + 1) * hi
-        if hi > _RENORM:
-            hi *= 1e-280
-            lo *= 1e-280
-            shift += _LN_RENORM
-        logk[p + 1] = math.log(hi) + shift
-    return logk
-
-
 def log_scaled_iv_ladder_vec(l_max: int, x: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`log_scaled_iv_ladder`: shape (len(x), l_max+1)."""
+    """Natural log of ``I_{l+1/2}(x) e^{-x}`` for l = 0..l_max, shape
+    (len(x), l_max + 1).
+
+    Backward Miller recursion with exponent tracking, normalised against
+    ``I_{1/2}(x) e^{-x} = (1 - e^{-2x}) / sqrt(2 pi x)``; accurate for any
+    float64 ``x > 0`` and order, including combinations whose scaled values
+    themselves underflow.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("arguments must be > 0")
@@ -213,7 +137,11 @@ def log_scaled_iv_ladder_vec(l_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def log_scaled_kv_ladder_vec(l_max: int, x: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`log_scaled_kv_ladder`: shape (len(x), l_max+1)."""
+    """Natural log of ``K_{l+1/2}(x) e^{+x}`` for l = 0..l_max, shape
+    (len(x), l_max + 1).
+
+    Forward recurrence (stable for K) with exponent tracking.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("arguments must be > 0")
@@ -239,7 +167,15 @@ def log_scaled_kv_ladder_vec(l_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def log_khat_spherical_ladder_vec(p_max: int, x: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`log_khat_spherical_ladder`: shape (len(x), p_max+1)."""
+    r"""Natural log of the power-scaled modified spherical Bessel function
+    :math:`\hat\kappa_p(x) = (2/\pi)\,x^{p+1} e^{x} k_p(x)` for p = 0..p_max,
+    shape (len(x), p_max + 1).
+
+    :math:`\hat\kappa_0 = 1`, :math:`\hat\kappa_1 = 1 + x`, and
+    :math:`\hat\kappa_{p+1} = x^2 \hat\kappa_{p-1} + (2p+1)\hat\kappa_p`
+    (forward stable, all terms positive).  The true function is recovered as
+    ``k_p(x) = (pi/2) e^{-x} x^{-(p+1)} exp(log_khat[:, p])``.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("arguments must be > 0")

@@ -27,7 +27,8 @@ from .matsubara import DeterminantTable, free_energy
 __all__ = ["ThermoCurve", "EntropyFeatureReport", "DerivativeEstimate",
            "entropy_numeric", "force_numeric", "cross_derivative_check",
            "cross_derivative_check_asymptotic", "scan_entropy_features",
-           "find_disappearance_threshold", "build_thermo_curve"]
+           "find_disappearance_threshold", "closed_form_curve",
+           "build_thermo_curve"]
 
 
 @dataclass(frozen=True)
@@ -309,6 +310,32 @@ def find_disappearance_threshold(r_lo: float, r_hi: float, tol_r: float = 2e-3,
     return 0.5 * (r_lo + r_hi)
 
 
+def closed_form_curve(geometry: Geometry, z: np.ndarray, branch: str
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E_ad, S_ad, F_ad) on a z grid from a closed-form branch.
+
+    ``'asymptotic'`` is the large-separation expansion, a function of z
+    alone.  ``'pfa'`` evaluates the proximity-force approximation at the
+    gap, radius and temperatures of ``geometry`` and converts it to the
+    adimensional E_ad, S_ad and F_ad of that geometry.
+    """
+    z = np.asarray(z, dtype=float)
+    if branch == "asymptotic":
+        return asymptotics.e_ad(z), asymptotics.s_ad(z), asymptotics.f_ad(z)
+    if branch != "pfa":
+        raise ValueError("branch must be 'asymptotic' or 'pfa'")
+    d, R = geometry.d, geometry.R
+    conv_e = energy_scale_ad(geometry)
+    rows = []
+    for zi in z:
+        pt = pfa.PfaPoint(ell=geometry.ell, R=R,
+                          T=ThermalPoint.from_z(zi, geometry).T)
+        rows.append((pfa.pfa_energy_sum(pt) / conv_e,
+                     pfa.pfa_entropy(pt) * d**6 / (K_B * R**6),
+                     pfa.pfa_force(pt) * 2.0 * math.pi * d**8 / (HBAR_C * R**6)))
+    return tuple(map(np.array, zip(*rows)))
+
+
 def build_thermo_curve(r: float, z_grid: np.ndarray, branch: str = "numeric",
                        tol: float = 1e-9, with_force: bool = True,
                        delta_r: float = 1e-3,
@@ -326,23 +353,8 @@ def build_thermo_curve(r: float, z_grid: np.ndarray, branch: str = "numeric",
         raise ValueError("z grid must be strictly increasing")
     policy: dict = {"branch": branch}
     tab = None
-    if branch == "asymptotic":
-        e = np.array([float(asymptotics.e_ad(z)) for z in z_grid])
-        s = np.array([float(asymptotics.s_ad(z)) for z in z_grid])
-        f = np.array([float(asymptotics.f_ad(z)) for z in z_grid])
-    elif branch == "pfa":
-        # adimensionalised with the same E_ad convention via x = z(1-2r)
-        scale = 1.0 - 2.0 * r
-        geo = Geometry.from_ratio(r)
-        conv_e = energy_scale_ad(geo)
-        e, s, f = [], [], []
-        for z in z_grid:
-            tp = ThermalPoint.from_z(z, geo)
-            pt = pfa.PfaPoint(ell=geo.ell, R=geo.R, T=tp.T)
-            e.append(pfa.pfa_energy_sum(pt) / conv_e)
-            s.append(pfa.pfa_entropy(pt) * geo.d**6 / (K_B * geo.R**6))
-            f.append(pfa.pfa_force(pt) * 2.0 * math.pi * geo.d**8 / (HBAR_C * geo.R**6))
-        e, s, f = np.array(e), np.array(s), np.array(f)
+    if branch in ("asymptotic", "pfa"):
+        e, s, f = closed_form_curve(Geometry.from_ratio(r), z_grid, branch)
     elif branch == "numeric":
         kw = dict(table_kwargs or {})
         tab = DeterminantTable(r, tol=tol, **kw)

@@ -418,73 +418,53 @@ class TranslationBlock:
             scaling_exponent=self.scaling_exponent)
 
 
-def _radial_log(p_len: int, x: float, radial: str) -> tuple[np.ndarray, np.ndarray]:
-    """log|f_p(x)| and signs for the radial factor of the p-sums.
+def _radial_ladder(q: np.ndarray, l_max: int) -> np.ndarray:
+    """log(k_p(q) e^q) for p = 0..2 l_max + 1, shape (nq, 2 l_max + 2):
+    the radial factors of every m-block's p-sums, one ladder per batch."""
+    p_len = 2 * l_max + 2
+    return (math.log(math.pi / 2.0)
+            + specfun.log_khat_spherical_ladder_vec(p_len - 1, q)
+            - np.arange(1.0, p_len + 1.0)[None, :] * np.log(q)[:, None])
 
-    ``radial='outgoing'`` gives k_p(x) e^{+x} (singular waves, scaled);
-    ``radial='regular'`` gives i_p(x) e^{-x} (regular waves, scaled).
+
+def _scaled_sums(g: PackedCouplings, rad_log: np.ndarray) -> np.ndarray:
+    """p-sums of the pairs l <= l' scaled by 1/k_P, shape (nq, 2, npair).
+
+    ``rad_log`` is :func:`_radial_ladder` at g's l_max or above; [:, 0]
+    holds the preserving sums sum_p GA[l, l', p] k_p / k_P and [:, 1] the
+    mixing ones, in the pair order of :func:`antidiagonal_pairs`.  The
+    p-sum of pair (l, l') ends at P = l + l' + 1 and k_p increases with p,
+    so each scaled term is at most |G|.  One matmul over the batch
+    contracts the pairs of one anti-diagonal (equal P).
     """
-    ps = np.arange(p_len)
-    if radial == "outgoing":
-        log_khat = specfun.log_khat_spherical_ladder(p_len - 1, x)
-        logs = (math.log(math.pi / 2.0) + log_khat
-                - (ps + 1.0) * math.log(x))
-        return logs, np.ones(p_len)
-    if radial == "regular":
-        log_i = specfun.log_scaled_iv_ladder(p_len - 1, x)
-        logs = log_i + 0.5 * (math.log(math.pi / 2.0) - math.log(x))
-        return logs, np.ones(p_len)
-    raise ValueError("radial must be 'outgoing' or 'regular'")
+    off = antidiagonal_pairs(g.n)[2]
+    sums = np.zeros((rad_log.shape[0], 2, off[-1]))
+    # the 3j selection rules put GA on p = P-1, P-3, ... and GB on P, P-2, ...
+    for s, (ga, gb) in enumerate(g.diagonals()):
+        k = slice(off[s], off[s + 1])
+        big_p = 2 * g.l0 + 1 + s
+        ref = rad_log[:, big_p, None]
+        sums[:, 0, k] = np.exp(rad_log[:, big_p - 1::-2] - ref) @ ga.T
+        if g.m:
+            sums[:, 1, k] = np.exp(rad_log[:, big_p::-2] - ref) @ gb.T
+    return sums
 
 
-def _assemble_entries(m: int, x: float, l0: int, l_max: int,
-                      radial: str = "outgoing") -> np.ndarray:
-    """Full 2n x 2n scaled entry matrix of one m-block via log-domain p-sums.
+def _unpack_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and mirror signs, (2n, 2n) each, that unpack a packed
+    half (2, 2, npair) into the matrix over channels (a, l), a in (M, E).
 
-    For ``radial='outgoing'`` this is the physical out-to-regular block
-    scaled by e^{+x}.  For ``radial='regular'`` it is the true
-    regular-to-regular block (R(0) = I): relative to the outgoing sum the
-    radial rotation leaves a factor ``-(pi/2) (-1)^p``, the latter acting
-    as a parity conjugation.
+    Entry ((a, l), (b, l')) is pair (l, l') of (a, b) if l <= l', else
+    pair (l', l) of (b, a) times the mirror sign (-1)^{l+l'}.
     """
-    ga, gb = coupling_tensors(m, l0, l_max).expand()
-    p_len = ga.shape[2]
-    rad_log, _ = _radial_log(p_len, x, radial)
-
-    def signed_sum(g):
-        # sum_p g[i,j,p] * exp(rad_log[p]) with max-extraction per entry
-        with np.errstate(divide="ignore"):
-            term_log = np.log(np.abs(g)) + rad_log[None, None, :]
-        mmax = np.max(term_log, axis=2)
-        finite = np.isfinite(mmax)
-        out = np.zeros(mmax.shape)
-        if np.any(finite):
-            red = np.sum(np.sign(g) * np.exp(term_log - mmax[:, :, None]),
-                         axis=2, where=np.isfinite(term_log))
-            val_log = mmax + np.log(np.abs(red) + 1e-320)
-            if np.any(val_log[finite] > 700.0):
-                raise OverflowError(
-                    "scaled translation entries overflow float64 at "
-                    f"kappa_d={x:g}, l_max={l_max}; use the round-trip API")
-            out[finite] = (np.sign(red) * np.exp(val_log))[finite]
-        return out
-
-    same = signed_sum(ga)
-    cross = signed_sum(gb)
-    top = np.hstack([same, cross])
-    bot = np.hstack([cross, same])
-    out = np.vstack([top, bot])
-    if radial == "regular":
-        d = parity_signs(l0, l_max)
-        # the destination gauge sign folded into the coupling tensors must
-        # be mirrored on the source side for regular-regular re-expansion
-        ls = np.arange(l0, l_max + 1)
-        lam = np.concatenate([np.where(ls % 2 == 0, -1.0, 1.0)] * 2)
-        out = lam[:, None] * out
-        out = -(math.pi / 2.0) * (d[:, None] * out * d[None, :])
-        # undo the e^{-x} carried by the scaled i_p ladder: R is O(1)
-        out *= math.exp(min(x, 700.0))
-    return out
+    npair = n * (n + 1) // 2
+    ls = np.arange(n)
+    lo, hi = np.minimum.outer(ls, ls), np.maximum.outer(ls, ls)
+    k = antidiagonal_pairs(n)[2][lo + hi] + lo - np.maximum(0, lo + hi - n + 1)
+    low = lo < ls[:, None]
+    idx = np.block([[k, k + npair * (1 + low)],
+                    [k + npair * (2 - low), k + 3 * npair]])
+    return idx, np.tile(np.where(low, (-1.0) ** (lo + hi), 1.0), (2, 2))
 
 
 def translation_block(m: int, kappa_d: float, l_max: int) -> TranslationBlock:
@@ -493,16 +473,34 @@ def translation_block(m: int, kappa_d: float, l_max: int) -> TranslationBlock:
     Populates both polarization-preserving (M->M, E->E) and mixing
     (M->E, E->M) couplings for max(|m|, 1) <= l, l' <= l_max, scaled by
     exp(-kappa_d).  For m < 0 the mixing sector flips sign relative to +|m|.
+    The entries are the round-trip assembly's scaled anti-diagonal sums
+    (:func:`_scaled_sums`) times k_P, mirrored to l > l'.
+
+    Raises
+    ------
+    OverflowError
+        If an entry leaves the float64 range: entries grow like
+        (2P-1)!! / kappa_d^{P+1}, past 1e308 below kappa_d = 0.049 at
+        l_max 48.
     """
     if kappa_d <= 0:
         raise ValueError("kappa_d must be > 0")
     if abs(m) > l_max:
         raise ValueError(f"|m|={abs(m)} exceeds l_max={l_max}: empty block")
     l0 = max(1, abs(m))
-    entries = _assemble_entries(abs(m), kappa_d, l0, l_max)
+    n = l_max - l0 + 1
+    rad_log = _radial_ladder(np.array([kappa_d]), l_max)
+    sums = _scaled_sums(coupling_tensors(abs(m), l0, l_max), rad_log)[0]
+    i, j = antidiagonal_pairs(n)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = sums[[[0, 1], [1, 0]]] * np.exp(rad_log[0, 2 * l0 + 1 + i + j])
+    idx, mirror = _unpack_index(n)
+    entries = half.ravel()[idx] * mirror
+    if not np.all(np.isfinite(entries)):
+        raise OverflowError(
+            "scaled translation entries overflow float64 at "
+            f"kappa_d={kappa_d:g}, l_max={l_max}; use the round-trip API")
     if m < 0:
-        n = l_max - l0 + 1
-        entries = entries.copy()
         entries[:n, n:] *= -1.0
         entries[n:, :n] *= -1.0
     return TranslationBlock(m=m, kappa_d=kappa_d, l_max=l_max, l_min=l0,

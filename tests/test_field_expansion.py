@@ -23,12 +23,12 @@ from casimir_spheres import translation as tr
 
 
 def sph_i(p_max, x):
-    return np.exp(specfun.log_scaled_iv_ladder(p_max, x)
+    return np.exp(specfun.log_scaled_iv_ladder_vec(p_max, np.array([x]))[0]
                   + 0.5 * (math.log(math.pi / 2) - math.log(x)) + x)
 
 
 def sph_k(p_max, x):
-    return np.exp(specfun.log_scaled_kv_ladder(p_max, x)
+    return np.exp(specfun.log_scaled_kv_ladder_vec(p_max, np.array([x]))[0]
                   + 0.5 * (math.log(math.pi / 2) - math.log(x)) - x)
 
 

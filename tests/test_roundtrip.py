@@ -140,7 +140,7 @@ def test_against_independent_determinant_oracle(testdata):
         else:
             from casimir_spheres import scattering
             lt_m, lt_e = scattering.t_scaled_log_vec(l_max, np.array([q * r]))
-            rad = rt._radial_ladder(np.array([q]), l_max)
+            rad = translation._radial_ladder(np.array([q]), l_max)
             got = 0.0
             for m in case["m_values"]:
                 w = 1.0 if m == 0 else 2.0
@@ -227,9 +227,9 @@ def test_one_way_operator_symmetric_and_mirror_exact(m):
     dpar = translation.parity_signs(l0, l_max)
     qs = np.array([1e-3, 0.3, 3.0, 20.0])
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, qs * r)
+    rad = translation._radial_ladder(qs, l_max)
     one_way = rt._one_way(rt._atilde_batch(m, l0, l_max, qs, r, lt_m, lt_e,
-                                           rt._radial_ladder(qs, l_max)),
-                          l0, l_max)
+                                           rad), l0, l_max)
     for k, q in enumerate(qs):
         mk = one_way[k]
         assert (np.max(np.abs(mk - mk.T))
@@ -254,7 +254,7 @@ def test_trace_budget_against_exact_path_and_series_values():
         np.linspace(1.0, q_max, 360)]))[::20]
     g, m_max = rt.logdet_batch(r, grid, l_max, m_rel_tol=m_tol)
     lt_m, lt_e = scattering.t_scaled_log_vec(l_max, grid * r)
-    rad = rt._radial_ladder(grid, l_max)
+    rad = translation._radial_ladder(grid, l_max)
     exact = sum((1.0 if m == 0 else 2.0)
                 * rt._block_logdets(m, l_max, grid, r, lt_m, lt_e, rad)
                 for m in range(m_max + 1))

@@ -104,16 +104,31 @@ def test_multipole_index_invariants():
         MultipoleIndex(l=1, m=2, pol=Polarization.M)
 
 
-@pytest.mark.parametrize("l_max, y", [(48, 95.0), (20, 24.0), (60, 84.0)])
-def test_vectorised_ee_series_matches_scalar_ladder(l_max, y):
-    """The vectorised ladder sums the E-numerator series at every l; the
-    scalar one switches to a log-difference at y >= 2l + 4.  They agree at
-    y = 95, the r = 0.45 table's q_max r, and across the seam y = 2l + 4
-    (l = 10 at y = 24, l = 40 at y = 84)."""
-    lm_vec, le_vec = scattering.t_scaled_log_vec(l_max, np.array([y]))
-    lm, le = scattering.t_scaled_log(l_max, y)
-    assert np.max(np.abs(le_vec[0] - le)) < 1e-12
-    assert np.max(np.abs(lm_vec[0] - lm)) < 1e-12
+def log_t_ee_mpmath(l, y):
+    """log|T_E e^{-2y}| at 40 digits, from the defining Bessel ratio."""
+    import mpmath
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        nu = l + mpmath.mpf(1) / 2
+        num = l * mpmath.besseli(nu, y) - y * mpmath.besseli(nu - 1, y)
+        den = l * mpmath.besselk(nu, y) + y * mpmath.besselk(nu - 1, y)
+        return float(mpmath.log(mpmath.pi / 2 * abs(num) / den) - 2 * y)
+
+
+@pytest.mark.parametrize("l_max, y", [(48, 95.0), (20, 24.0), (60, 84.0),
+                                      (3, 600.0), (3, 700.0), (3, 715.0),
+                                      (3, 750.0), (3, 800.0)])
+def test_log_t_ee_matches_mpmath(l_max, y):
+    """The E element on both sides of the seam y = 2l + 4 between the
+    log-difference and the numerator series (l = 10, 11 at y = 24 and
+    l = 40, 41 at y = 84), at y = 95, the r = 0.45 table's q_max r, and
+    past y = 710, where the series terms would overflow float64."""
+    _, log_t_ee = scattering.t_scaled_log_vec(l_max, np.array([y]))
+    seam = int(y - 4.0) // 2
+    ls = {1, 2, 3, l_max // 2, l_max - 1, l_max, seam, seam + 1}
+    for l in sorted(l for l in ls if l <= l_max):
+        assert log_t_ee[0, l - 1] == pytest.approx(log_t_ee_mpmath(l, y),
+                                                   rel=0, abs=1e-12), l
 
 
 def test_ee_series_raises_instead_of_truncating(monkeypatch):
@@ -123,20 +138,3 @@ def test_ee_series_raises_instead_of_truncating(monkeypatch):
     with pytest.raises(NonConvergenceError, match="not converged after 50"):
         scattering.t_scaled_log_vec(48, np.array([0.5, 95.0]))
     scattering.t_scaled_log_vec(48, np.array([0.5, 20.0]))
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("y", [715.0, 750.0, 800.0])
-def test_ee_series_overflow_raises(y):
-    """Past y ~ 710 the series terms overflow float64; the vectorised
-    ladder raises instead of returning log|T_E e^{-2y}| = +inf."""
-    with pytest.raises(OverflowError, match="overflows"):
-        scattering.t_scaled_log_vec(3, np.array([y]))
-
-
-@pytest.mark.parametrize("y", [600.0, 700.0])
-def test_ee_series_below_overflow_matches_scalar(y):
-    lm_vec, le_vec = scattering.t_scaled_log_vec(3, np.array([y]))
-    lm, le = scattering.t_scaled_log(3, y)
-    assert np.max(np.abs(le_vec[0] - le)) < 1e-12
-    assert np.max(np.abs(lm_vec[0] - lm)) < 1e-12

@@ -6,6 +6,14 @@ import pytest
 from casimir_spheres import specfun
 
 
+def scaled_ladders(l_max, x):
+    """(I_{l+1/2} e^{-x}, K_{l+1/2} e^{+x}) for l = 0..l_max from the
+    production ladders, at one argument."""
+    xs = np.array([x])
+    return (np.exp(specfun.log_scaled_iv_ladder_vec(l_max, xs)[0]),
+            np.exp(specfun.log_scaled_kv_ladder_vec(l_max, xs)[0]))
+
+
 def test_closed_form_examples_l0():
     pair = specfun.scaled_bessel_half(0, 1.0)
     assert pair.i_scaled == pytest.approx(
@@ -36,14 +44,14 @@ def test_oracle_grid(testdata):
 
 def test_wronskian_identity():
     for x in (1e-4, 1e-2, 0.7, 5.0, 42.0):
-        i, k = specfun.scaled_bessel_ladder(20, x)
+        i, k = scaled_ladders(20, x)
         resid = np.abs((i[:-1] * k[1:] + i[1:] * k[:-1]) * x - 1.0)
         assert np.max(resid) <= 1e-12
 
 
 def test_three_term_recurrences():
     for x in (1e-3, 0.3, 2.0, 30.0):
-        i, k = specfun.scaled_bessel_ladder(21, x)
+        i, k = scaled_ladders(21, x)
         ls = np.arange(1, 21)
         # I_{nu-1} - I_{nu+1} = (2 nu / x) I_nu with nu = l + 1/2
         res_i = np.abs(i[ls - 1] - i[ls + 1] - (2 * ls + 1) / x * i[ls])
@@ -56,7 +64,7 @@ def test_three_term_recurrences():
 
 def test_k_increasing_in_order():
     for x in (1e-3, 1.0, 10.0):
-        _, k = specfun.scaled_bessel_ladder(25, x)
+        _, k = scaled_ladders(25, x)
         assert np.all(np.diff(k) > 0)
 
 
@@ -109,8 +117,8 @@ def test_frozen_ratio_l2():
 def test_khat_ladder_against_direct():
     # khat_p = (2/pi) x^{p+1} e^x k_p(x) via half-integer K ladder
     for x in (0.05, 1.3, 9.0):
-        lk = specfun.log_khat_spherical_ladder(12, x)
-        _, khalf = specfun.scaled_bessel_ladder(12, x)
+        lk = specfun.log_khat_spherical_ladder_vec(12, np.array([x]))[0]
+        _, khalf = scaled_ladders(12, x)
         k_sph_scaled = math.sqrt(math.pi / (2 * x)) * khalf  # k_p e^{+x}
         ps = np.arange(13)
         direct = np.log(2.0 / math.pi * x**(ps + 1) * k_sph_scaled)

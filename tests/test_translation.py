@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_spheres import specfun
 from casimir_spheres import translation as tr
 from casimir_spheres.translation import (coupling_tensors,
                                          dipole_translation_limit,
@@ -110,6 +111,52 @@ def test_dipole_static_divergence_and_decay():
         1.5 * math.exp(-big_q) * (1 + big_q + big_q**2) / big_q**3, rel=1e-12)
 
 
+def _direct_block(m, x, l_max, radial):
+    """Full 2n x 2n block of one m >= 0 by a direct p-sum over the
+    expanded coupling tensors, both halves summed, no scaling by k_P.
+
+    ``radial='outgoing'`` sums k_p(x) e^{+x} and gives the scaled
+    out-to-regular block of :func:`translation_block`.  ``'regular'`` sums
+    i_p(x) and gives the regular-to-regular block R (R(0) = I): relative to
+    the outgoing sum the radial rotation leaves a factor -(pi/2) (-1)^p,
+    the latter acting as a parity conjugation, and the destination gauge
+    sign folded into the tensors is mirrored on the source side.
+    """
+    l0 = max(1, m)
+    ga, gb = coupling_tensors(m, l0, l_max).expand()
+    xs = np.array([x])
+    if radial == "outgoing":
+        rad = np.exp(tr._radial_ladder(xs, l_max)[0])
+    else:
+        rad = np.exp(specfun.log_scaled_iv_ladder_vec(ga.shape[2] - 1, xs)[0]
+                     + 0.5 * math.log(math.pi / (2.0 * x)) + x)
+    same, cross = ga @ rad, gb @ rad
+    out = np.block([[same, cross], [cross, same]])
+    if radial == "regular":
+        d = parity_signs(l0, l_max)
+        ls = np.arange(l0, l_max + 1)
+        lam = np.concatenate([np.where(ls % 2 == 0, -1.0, 1.0)] * 2)
+        out = -(math.pi / 2.0) * (d * lam)[:, None] * out * d[None, :]
+    return out
+
+
+@pytest.mark.parametrize("x", [3.0, 30.0])
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_translation_block_matches_direct_p_sum(m, x):
+    """The block built from the round-trip assembly's scaled anti-diagonal
+    sums, mirrored to l > l', equals the direct p-sum of every entry."""
+    blk = translation_block(m, x, 48)
+    ref = _direct_block(m, x, 48, "outgoing")
+    assert (np.max(np.abs(blk.entries - ref))
+            <= 1e-13 * np.max(np.abs(ref))), (m, x)
+
+
+def test_translation_block_raises_when_entries_overflow():
+    """At kappa_d = 1e-3 and l_max 48, k_P e^{kappa_d} passes 1e308."""
+    with pytest.raises(OverflowError, match="overflow"):
+        translation_block(1, 1e-3, 48)
+
+
 def test_translation_composition_semigroup():
     """U(x1+x2) = U(x2) R(x1) with R the regular-regular block: a functional
     identity independent of the dipole anchor, validating every m."""
@@ -117,9 +164,9 @@ def test_translation_composition_semigroup():
     x1, x2 = 0.6, 2.0
     for m in (0, 1, 2, 3):
         l0 = max(1, m)
-        u_tot = tr._assemble_entries(m, x1 + x2, l0, l_in) * math.exp(-(x1 + x2))
-        r1 = tr._assemble_entries(m, x1, l0, l_in, radial="regular")
-        u2 = tr._assemble_entries(m, x2, l0, l_in) * math.exp(-x2)
+        u_tot = translation_block(m, x1 + x2, l_in).entries * math.exp(-(x1 + x2))
+        r1 = _direct_block(m, x1, l_in, "regular")
+        u2 = translation_block(m, x2, l_in).entries * math.exp(-x2)
         comp = u2 @ r1
         n = l_in - l0 + 1
         k = l_out - l0 + 1
@@ -139,7 +186,7 @@ def test_translation_composition_semigroup():
 
 def test_regular_block_identity_at_zero():
     for m in (0, 2):
-        r_blk = tr._assemble_entries(m, 1e-9, max(1, m), 5, radial="regular")
+        r_blk = _direct_block(m, 1e-9, 5, "regular")
         assert np.max(np.abs(r_blk - np.eye(r_blk.shape[0]))) < 1e-7
 
 
