@@ -33,10 +33,15 @@ __all__ = ["Geometry", "ThermalPoint", "FreeEnergyResult", "free_energy",
            "zero_T_energy", "static_term", "DeterminantTable",
            "free_energy_ad", "zero_T_energy_ad"]
 
-N_CEILING_DEFAULT = 10**6
+N_CEILING = 10**6
 
 # q-nodes used for the kappa -> 0 extrapolation of the static term
 _STATIC_NODES = (1e-3, 5e-4, 2.5e-4)
+# Matsubara terms per logdet_batch call of free_energy
+_CHUNK = 16
+
+# the l_max ladder; every caller here goes through this module-level name
+_converged_l_max = roundtrip._converged_l_max
 
 
 @dataclass(frozen=True)
@@ -51,88 +56,22 @@ class FreeEnergyResult:
     l_max_used: int = 0
 
 
-def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
-                     l_ceiling: int = roundtrip.L_CEILING_DEFAULT,
-                     l_start: int | None = None,
-                     logdet_batch=None) -> tuple[int, np.ndarray, float]:
-    """Smallest l_max from the doubling ladder with converged+confirmed probes.
+def _sum_l_max(r: float, z: float, tol: float) -> int:
+    """l_max of a Matsubara sum at (r, z): the ladder on the first chunk's
+    frequencies and the static nodes."""
+    probe = np.unique(np.concatenate([z * np.arange(1, _CHUNK + 1.0),
+                                      np.asarray(_STATIC_NODES)]))
+    l_max, _, _ = _converged_l_max(r, probe, tol)
+    return l_max
 
-    Doubles until every probe changes by less than ``tol`` relative, then
-    confirms with a further enlarged l_max (the second consecutive pass at
-    bounded cost).  A below-tol change L -> 2L certifies stage L itself, so
-    the *smaller* stage is returned for evaluation.  Returns
-    ``(l_max, g_at_probe, worst_change)``.  ``logdet_batch`` replaces
-    :func:`roundtrip.logdet_batch` (same signature), e.g. to count calls.
+
+def _static_limit(g: np.ndarray) -> float:
+    """g(0) by Lagrange extrapolation through g at ``_STATIC_NODES``.
+
+    Assumes polynomial behaviour in q through (h, h/2, h/4); raises
+    ExtrapolationUnstableError if the correction terms do not shrink or
+    the limit is not negative.
     """
-    logdet_batch = logdet_batch or roundtrip.logdet_batch
-    l_max = l_start if l_start is not None else roundtrip._start_l_max(r)
-    m_tol = 0.05 * tol
-    # thin wide probe sets: the convergence profile is smooth in kappa, so
-    # a handful of spread-out frequencies certifies the whole range
-    q_full = np.asarray(q_probe, dtype=float)
-    if q_full.shape[0] > 8:
-        idx = np.unique(np.linspace(0, q_full.shape[0] - 1, 8).astype(int))
-        q_probe = q_full[idx]
-    g_prev, _ = logdet_batch(r, q_probe, l_max, m_rel_tol=m_tol)
-    while True:
-        l_next = 2 * l_max
-        if l_next > l_ceiling:
-            raise NonConvergenceError(
-                f"l_max exceeded l_ceiling={l_ceiling} for r={r:g}")
-        g_next, _ = logdet_batch(r, q_probe, l_next, m_rel_tol=m_tol)
-        top = float(np.max(np.abs(g_next)))
-        if top == 0.0:
-            # every probe is below the underflow floor: trivially converged
-            return l_max, g_next, 0.0
-        scale = np.maximum(np.abs(g_next), 1e-2 * top)
-        rel = np.abs(g_next - g_prev) / scale
-        change = float(np.max(rel))
-        if change < tol:
-            # second consecutive pass on the worst few probes, at a bounded
-            # enlargement instead of a further doubling
-            worst = np.argsort(rel)[-3:]
-            l_conf = min(l_ceiling, l_next + max(8, l_next // 5))
-            g_conf, _ = logdet_batch(r, q_probe[worst], l_conf,
-                                     m_rel_tol=m_tol)
-            conf_change = float(np.max(np.abs(g_conf - g_next[worst])
-                                       / scale[worst]))
-            if conf_change < tol:
-                return l_max, g_prev, max(change, conf_change)
-        g_prev, l_max = g_next, l_next
-
-
-def static_term(geometry: Geometry, tol: float = 1e-9,
-                nodes: tuple = _STATIC_NODES,
-                l_max_hint: int | None = None) -> float:
-    """lim_{kappa->0} sum_m w_m log det(I - N_m), by polynomial extrapolation.
-
-    Evaluates at kappa*d in ``nodes`` (a geometric ladder with ratio 1/2)
-    and extrapolates to zero assuming polynomial behaviour in kappa*d;
-    raises ExtrapolationUnstable if the correction terms do not shrink.
-    Cached per (aspect ratio, tol, nodes): the limit is adimensional.
-    """
-    return _static_term_cached(geometry.r, tol, tuple(nodes), l_max_hint)
-
-
-@lru_cache(maxsize=256)
-def _static_term_cached(r: float, tol: float, nodes: tuple,
-                        l_max_hint: int | None = None) -> float:
-    q = np.asarray(nodes, dtype=float)
-    m_tol = 0.05 * tol
-    if l_max_hint is not None:
-        # trust-but-verify: accept the hint if a bounded enlargement agrees
-        g, _ = roundtrip.logdet_batch(r, q, l_max_hint, m_rel_tol=m_tol)
-        l_conf = l_max_hint + max(8, l_max_hint // 5)
-        g_conf, _ = roundtrip.logdet_batch(r, q, l_conf, m_rel_tol=m_tol)
-        scale = np.maximum(np.abs(g_conf), 1e-300)
-        if float(np.max(np.abs(g_conf - g) / scale)) < tol:
-            g = g_conf
-            l_max = l_conf
-        else:
-            l_max, g, _ = _converged_l_max(r, q, tol, l_start=l_max_hint)
-    else:
-        l_max, g, _ = _converged_l_max(r, q, tol)
-    # Lagrange extrapolation to q=0 through (h, h/2, h/4)
     g0 = (g[0] - 6.0 * g[1] + 8.0 * g[2]) / 3.0
     r1 = 2.0 * g[1] - g[0]
     r2 = 2.0 * g[2] - g[1]
@@ -147,8 +86,32 @@ def _static_term_cached(r: float, tol: float, nodes: tuple,
     return float(g0)
 
 
+def static_term(geometry: Geometry, tol: float = 1e-9,
+                l_max_hint: int | None = None) -> float:
+    """lim_{kappa->0} sum_m w_m log det(I - N_m), by :func:`_static_limit`.
+
+    ``l_max_hint`` is accepted if the ladder's confirmation stage agrees,
+    else the ladder starts from it.  Cached per (aspect ratio, tol, hint):
+    the limit is adimensional.
+    """
+    return _static_term_cached(geometry.r, tol, l_max_hint)
+
+
+@lru_cache(maxsize=256)
+def _static_term_cached(r: float, tol: float,
+                        l_max_hint: int | None = None) -> float:
+    q = np.asarray(_STATIC_NODES)
+    if l_max_hint is not None:
+        g, _ = roundtrip.logdet_batch(r, q, l_max_hint,
+                                      m_rel_tol=roundtrip._M_SHARE * tol)
+        change, g_conf = roundtrip._confirm(r, q, g, l_max_hint, tol)
+        if change < tol:
+            return _static_limit(g_conf)
+    _, g, _ = _converged_l_max(r, q, tol, l_start=l_max_hint)
+    return _static_limit(g)
+
+
 def free_energy(geometry: Geometry, thermal: ThermalPoint, tol: float = 1e-9,
-                n_ceiling: int = N_CEILING_DEFAULT,
                 l_max_hint: int | None = None) -> FreeEnergyResult:
     """Matsubara sum for the free energy at temperature T > 0.
 
@@ -172,35 +135,26 @@ def free_energy(geometry: Geometry, thermal: ThermalPoint, tol: float = 1e-9,
     g0 = static_term(geometry, tol, l_max_hint=l_max_hint)
     per_term = [0.5 * kT * g0]
     acc = 0.5 * g0
-    chunk = 16
     n = 1
     tail = math.inf
     g_prev = None
     done = False
-    m_tol = 0.05 * tol
     # converge the multipole cutoff once on the first chunk plus static-side
-    # probes; later chunks (larger kappa) reuse it with periodic cheap
-    # confirmations, since the required cutoff only shrinks with frequency
-    if l_max_hint is None:
-        probe = np.unique(np.concatenate([z * np.arange(1, chunk + 1.0),
-                                          np.asarray(_STATIC_NODES)]))
-        l_max, _, _ = _converged_l_max(r, probe, tol)
-    else:
-        l_max = l_max_hint
+    # probes; later chunks reuse it.  The absolute truncation error shrinks
+    # with frequency but the relative one grows (r = 0.41, l_max 48: 3e-14
+    # at q <= 1, 4e-9 at q = 60), so every eighth chunk is confirmed
+    l_max = _sum_l_max(r, z, tol) if l_max_hint is None else l_max_hint
     l_used = l_max
     chunk_idx = 0
-    while n <= n_ceiling and not done:
-        q = z * np.arange(n, n + chunk, dtype=float)
-        g, _ = roundtrip.logdet_batch(r, q, l_max, m_rel_tol=m_tol)
+    while n <= N_CEILING and not done:
+        q = z * np.arange(n, n + _CHUNK, dtype=float)
+        g, _ = roundtrip.logdet_batch(r, q, l_max,
+                                      m_rel_tol=roundtrip._M_SHARE * tol)
         if chunk_idx % 8 == 7:
-            l_conf = l_max + max(8, l_max // 5)
-            g_conf, _ = roundtrip.logdet_batch(r, q, l_conf, m_rel_tol=m_tol)
-            top = float(np.max(np.abs(g_conf)))
-            if top > 0.0:
-                scale = np.maximum(np.abs(g_conf), 1e-2 * top)
-                if float(np.max(np.abs(g_conf - g) / scale)) > tol:
-                    l_max, g, _ = _converged_l_max(r, q, tol, l_start=l_max)
-                    l_used = max(l_used, l_max)
+            change, _ = roundtrip._confirm(r, q, g, l_max, tol)
+            if change > tol:
+                l_max, g, _ = _converged_l_max(r, q, tol, l_start=l_max)
+                l_used = max(l_used, l_max)
         chunk_idx += 1
         for gi in g:
             if gi == 0.0 and acc != 0.0:
@@ -217,10 +171,10 @@ def free_energy(geometry: Geometry, thermal: ThermalPoint, tol: float = 1e-9,
                     done = True
                     break
             g_prev = gi
-        n += chunk
+        n += _CHUNK
     if not done:
         raise NonConvergenceError(
-            f"Matsubara sum did not converge within n_ceiling={n_ceiling}")
+            f"Matsubara sum did not converge within {N_CEILING} terms")
     return FreeEnergyResult(energy=kT * acc, n_terms_used=len(per_term),
                             per_term=per_term, tail_bound=kT * tail,
                             method="matsubara_sum", l_max_used=l_used)
@@ -236,12 +190,12 @@ def zero_T_energy(geometry: Geometry, tol: float = 1e-9) -> FreeEnergyResult:
     r = geometry.r
     q_probe = np.array([0.05, 0.5, 2.0, 8.0])
     l_max, g_probe, _ = _converged_l_max(r, q_probe, tol)
-    m_tol = 0.05 * tol
     nev = [0]
 
     def g_scalar(q: float) -> float:
         nev[0] += 1
-        val, _ = roundtrip.logdet_batch(r, np.array([q]), l_max, m_rel_tol=m_tol)
+        val, _ = roundtrip.logdet_batch(r, np.array([q]), l_max,
+                                        m_rel_tol=roundtrip._M_SHARE * tol)
         return float(val[0])
 
     abs_floor = 0.05 * tol * float(np.max(np.abs(g_probe)))
@@ -318,18 +272,18 @@ class DeterminantTable:
             np.geomspace(self.q_min, 1.0, self.n_small, endpoint=False),
             np.linspace(1.0, self.q_max, self.n_large),
         ]))
-        l_max, _, _ = _converged_l_max(
+        # the ladder's certified stage has evaluated the static nodes, which
+        # lead its probes, at the table's l_max
+        l_max, g_probe, _ = _converged_l_max(
             r, np.array([*_STATIC_NODES, 0.3, 1.0, 3.0, 10.0]), self.tol,
-            logdet_batch=self._logdet_batch)
+            evaluate=self._logdet_batch)
         self.l_max_used = l_max
+        self.g0 = _static_limit(g_probe[:len(_STATIC_NODES)])
         g = self._g_at(grid)
         # the determinant resolves |g| only down to machine epsilon; trim
         # the exhausted tail (its contribution is below any tolerance)
         keep = g < 0.0
         grid, g = grid[keep], g[keep]
-        # static limit from the standard extrapolation ladder
-        g_st = self._g_at(np.asarray(_STATIC_NODES))
-        self.g0 = float((g_st[0] - 6.0 * g_st[1] + 8.0 * g_st[2]) / 3.0)
         # adaptive refinement: insert exact midpoints on intervals where the
         # spline mispredicts beyond the table tolerance; values close to the
         # determinant's absolute resolution floor are exempt (pure noise)
@@ -361,8 +315,8 @@ class DeterminantTable:
 
     @property
     def freqs_evaluated(self) -> int:
-        """Frequencies passed to logdet_batch: ladder probes, grid, static
-        nodes and new midpoints, plus the slope pairs once they are built."""
+        """Frequencies passed to logdet_batch: ladder probes, grid and new
+        midpoints, plus the slope pairs once they are built."""
         return self._freqs
 
     def _logdet_batch(self, r, q, l_max, m_rel_tol):
@@ -373,7 +327,7 @@ class DeterminantTable:
     def _g_at(self, q: np.ndarray) -> np.ndarray:
         """g at the table's l_max and m-sum tolerance."""
         g, _ = self._logdet_batch(self.r, q, self.l_max_used,
-                                  m_rel_tol=0.05 * self.tol)
+                                  m_rel_tol=roundtrip._M_SHARE * self.tol)
         return g
 
     @cached_property

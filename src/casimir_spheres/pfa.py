@@ -140,7 +140,7 @@ def plate_energy_density(ell_plate: float, T: float) -> float:
     beta1 = a / lam
     # coth(b)/2 + b/(2 sinh^2 b) = 1/2 + [e^{-b}/(2 sinh b) + b/(2 sinh^2 b)]:
     # the constant part sums to zeta(3), the rest decays exponentially in m
-    m_max = max(8, int(44.0 / beta1) + 8)
+    m_max = int(44.0 / beta1) + 8
     m = np.arange(1, m_max + 1, dtype=float)
     b = m * beta1
     small = b < 350.0
@@ -173,7 +173,7 @@ def pfa_entropy_x(x: float) -> float:
         raise ValueError("x must be > 0")
     # h(u) = [sinh(2u)/2 - u]/(2 sinh^2 u) = 1/2 + [sinh(u) e^{-u} - u]/(2 sinh^2 u);
     # the 1/2 parts sum to zeta(3)/2, the rest decays exponentially in m
-    m_max = max(8, int(44.0 / x) + 8)
+    m_max = int(44.0 / x) + 8
     m = np.arange(1, m_max + 1, dtype=float)
     u = m * x
     small = u < 350.0
@@ -188,7 +188,7 @@ def pfa_force_x(x: float) -> float:
     """Dimensionless force sum ``sum'_n [Li3 + 2nx Li2](e^{-2nx})``."""
     if x <= 0:
         raise ValueError("x must be > 0")
-    m_max = max(8, int(44.0 / x) + 8)
+    m_max = int(44.0 / x) + 8
     m = np.arange(1, m_max + 1, dtype=float)
     u = m * x
     small = u < 350.0

@@ -43,6 +43,8 @@ __all__ = ["RoundTripBlock", "LogDetResult", "logdet_one_minus_n",
 
 # frequencies per assembly and eigenvalue pass in _block_logdets
 _Q_SLICE = 128
+# share of an l_max tolerance that the m-sum of every ladder stage may drop
+_M_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -208,42 +210,91 @@ def _start_l_max(r: float) -> int:
     return max(4, math.ceil(5.0 * r / (1.0 - 2.0 * r)))
 
 
+def _confirm(r: float, q: np.ndarray, g: np.ndarray, l_max: int, tol: float,
+             l_ceiling: int = L_CEILING_DEFAULT, scale: np.ndarray | None = None,
+             evaluate=None) -> tuple[float, np.ndarray]:
+    """The ladder's confirmation stage: the worst change of ``g`` (at
+    ``l_max`` on ``q``) at a bounded enlargement, relative to ``scale``
+    (default: the ladder's rule on the enlarged values).
+    Returns ``(change, g_at_enlarged_l_max)``."""
+    evaluate = evaluate or logdet_batch
+    l_conf = min(l_ceiling, l_max + max(8, l_max // 5))
+    g_conf, _ = evaluate(r, q, l_conf, m_rel_tol=_M_SHARE * tol)
+    if scale is None:
+        if not np.any(g_conf):
+            return 0.0, g_conf
+        scale = np.maximum(np.abs(g_conf), 1e-2 * np.max(np.abs(g_conf)))
+    return float(np.max(np.abs(g_conf - g) / scale)), g_conf
+
+
+def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
+                     l_ceiling: int = L_CEILING_DEFAULT,
+                     l_start: int | None = None,
+                     evaluate=None) -> tuple[int, np.ndarray, float]:
+    """The l_max ladder (docs/derivations.md, section 7).
+
+    From ``l_start`` (default :func:`_start_l_max`) l_max doubles until
+    every probe changes by less than ``tol`` relative to |g| floored at
+    1e-2 of the largest probe, and :func:`_confirm` agrees on the three
+    worst.  A below-tol change L -> 2L certifies L, so the *smaller* stage
+    is returned: ``(l_max, g_at_probe, worst_change)``.  ``evaluate``
+    replaces :func:`logdet_batch` (same signature), e.g. to count calls.
+    """
+    evaluate = evaluate or logdet_batch
+    l_max = l_start if l_start is not None else _start_l_max(r)
+    m_tol = _M_SHARE * tol
+    # thin wide probe sets: the truncation error is smooth in q
+    q_probe = np.asarray(q_probe, dtype=float)
+    if q_probe.shape[0] > 8:
+        q_probe = q_probe[np.unique(
+            np.linspace(0, q_probe.shape[0] - 1, 8).astype(int))]
+    g_prev, _ = evaluate(r, q_probe, l_max, m_rel_tol=m_tol)
+    while True:
+        l_next = 2 * l_max
+        if l_next > l_ceiling:
+            raise NonConvergenceError(
+                f"l_max exceeded l_ceiling={l_ceiling} for r={r:g}")
+        g_next, _ = evaluate(r, q_probe, l_next, m_rel_tol=m_tol)
+        if not np.any(g_next):
+            # every probe is below the underflow floor: trivially converged
+            return l_max, g_next, 0.0
+        scale = np.maximum(np.abs(g_next), 1e-2 * np.max(np.abs(g_next)))
+        rel = np.abs(g_next - g_prev) / scale
+        change = float(np.max(rel))
+        if change < tol:
+            # confirm on the worst three probes, with the full set's scale
+            worst = np.argsort(rel)[-3:]
+            conf, _ = _confirm(r, q_probe[worst], g_next[worst], l_next, tol,
+                               l_ceiling, scale[worst], evaluate)
+            if conf < tol:
+                return l_max, g_prev, max(change, conf)
+        g_prev, l_max = g_next, l_next
+
+
 def logdet_one_minus_n(geometry: Geometry, kappa: float, tol: float = 1e-9,
                        l_ceiling: int = L_CEILING_DEFAULT) -> LogDetResult:
     """Adaptive evaluation of sum_m w_m log det(I - N_m(kappa)).
 
-    l_max starts at ``max(4, ceil(5 r / (1 - 2r)))`` and doubles until the
-    relative change drops below ``tol``; a second consecutive pass at a
-    bounded enlargement confirms convergence (a further doubling would
-    cost 8x for no extra information).
+    The l_max ladder (:func:`_converged_l_max`) on the one frequency:
+    ``value``, ``l_max_used`` and ``m_max_used`` are those of the stage it
+    certifies, and ``est_truncation_error`` its worst relative change.
     """
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    r = geometry.r
-    q = np.array([kappa * geometry.d])
-    l_max = _start_l_max(r)
-    g, m_used = logdet_batch(r, q, l_max, m_rel_tol=0.1 * tol)
-    prev = float(g[0])
-    last_change = math.inf
-    while 2 * l_max <= l_ceiling:
-        l_next = 2 * l_max
-        g, m_used = logdet_batch(r, q, l_next, m_rel_tol=0.1 * tol)
-        val = float(g[0])
-        last_change = abs(val - prev) / max(abs(val), 1e-300)
-        if last_change < tol:
-            l_conf = min(l_ceiling, l_next + max(8, l_next // 5))
-            g_conf, m_conf = logdet_batch(r, q, l_conf, m_rel_tol=0.1 * tol)
-            conf = abs(float(g_conf[0]) - val) / max(abs(val), 1e-300)
-            if conf < tol:
-                return LogDetResult(value=float(g_conf[0]), l_max_used=l_conf,
-                                    m_max_used=m_conf, converged=True,
-                                    est_truncation_error=max(conf, last_change))
-        prev, l_max = val, l_next
-    raise NonConvergenceError(
-        f"l_max exceeded l_ceiling={l_ceiling} at kappa*d={q[0]:g} "
-        f"(last relative change {last_change:g})")
+    m_at = {}
+
+    def evaluate(r, q, l_max, m_rel_tol):
+        g, m_at[l_max] = logdet_batch(r, q, l_max, m_rel_tol=m_rel_tol)
+        return g, m_at[l_max]
+
+    l_max, g, change = _converged_l_max(geometry.r,
+                                        np.array([kappa * geometry.d]), tol,
+                                        l_ceiling, evaluate=evaluate)
+    return LogDetResult(value=float(g[0]), l_max_used=l_max,
+                        m_max_used=m_at[l_max], converged=True,
+                        est_truncation_error=change)
 
 
 def dipole_trace(geometry: Geometry, kappa: float) -> float:

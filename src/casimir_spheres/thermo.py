@@ -22,7 +22,7 @@ from .constants import HBAR_C, K_B
 from .errors import (BracketingFailureError, GridTooCoarseError,
                      StepUnderflowError)
 from .geometry import Geometry, ThermalPoint, energy_scale_ad
-from .matsubara import DeterminantTable, free_energy
+from .matsubara import DeterminantTable, _sum_l_max, free_energy
 
 __all__ = ["ThermoCurve", "EntropyFeatureReport", "DerivativeEstimate",
            "entropy_numeric", "force_numeric", "cross_derivative_check",
@@ -78,17 +78,6 @@ def _richardson4(f, x: float, h: float) -> DerivativeEstimate:
     return DerivativeEstimate(value=val, error_estimate=abs(val - d_h2), step=h)
 
 
-def _stencil_l_max(geometry: Geometry, thermal: ThermalPoint,
-                   tol: float) -> int:
-    """One converged multipole cutoff shared by all stencil evaluations."""
-    from .matsubara import _STATIC_NODES, _converged_l_max
-    z = max(thermal.z, 1e-3)
-    probe = np.unique(np.concatenate([z * np.arange(1.0, 17.0),
-                                      np.asarray(_STATIC_NODES)]))
-    l_max, _, _ = _converged_l_max(geometry.r, probe, tol)
-    return l_max
-
-
 def entropy_numeric(geometry: Geometry, thermal: ThermalPoint,
                     tol: float = 1e-9) -> DerivativeEstimate:
     """S = -dE/dT by Richardson-extrapolated central differences (J/K).
@@ -105,7 +94,7 @@ def entropy_numeric(geometry: Geometry, thermal: ThermalPoint,
     if T - h <= 0:
         raise StepUnderflowError(
             f"temperature T={T:g} below the differentiation floor {h:g}")
-    hint = _stencil_l_max(geometry, thermal, tol)
+    hint = _sum_l_max(geometry.r, max(thermal.z, 1e-3), tol)
 
     def e_of_t(t: float) -> float:
         return free_energy(geometry, ThermalPoint.from_temperature(t, geometry),
@@ -121,7 +110,7 @@ def force_numeric(geometry: Geometry, thermal: ThermalPoint,
     """F = -dE/dd by central differences at fixed T and R (newtons)."""
     d0 = geometry.d
     h = min(1e-3 * d0, 0.2 * geometry.ell)
-    hint = _stencil_l_max(geometry, thermal, tol)
+    hint = _sum_l_max(geometry.r, max(thermal.z, 1e-3), tol)
 
     def e_of_d(d: float) -> float:
         geo = Geometry(R=geometry.R, d=d)

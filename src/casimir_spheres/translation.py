@@ -476,6 +476,11 @@ def translation_block(m: int, kappa_d: float, l_max: int) -> TranslationBlock:
     The entries are the round-trip assembly's scaled anti-diagonal sums
     (:func:`_scaled_sums`) times k_P, mirrored to l > l'.
 
+    Accuracy: the p-sums cancel more as kappa_d grows.  Against a 50-digit
+    sum of the same coupling tensors (m = 3, l_max 8) the block is within
+    7.5e-14 (kappa_d = 100) and 3.1e-13 (200) of its largest entry, the
+    worst entry within 1.0e-12 and 5.2e-12 relative, 1.3e-10 at 1e3.
+
     Raises
     ------
     OverflowError

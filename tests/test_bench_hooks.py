@@ -37,5 +37,8 @@ def test_layer_trace_reports_every_per_layer_metric(monkeypatch):
     assert metrics["roundtrip.assembly.calls"] > 0
     assert metrics["roundtrip.logdet_batch.calls"] >= 2
     assert metrics["matsubara.free_energy.calls"] == 1
+    # every l_max ladder goes through the wrapped matsubara._converged_l_max
+    assert metrics["matsubara.ladder.calls"] > 0
+    assert metrics["matsubara.l_max_chosen"] > 0
     # uninstalled: the package functions are its own again
     assert roundtrip.logdet_batch.__module__ == "casimir_spheres.roundtrip"

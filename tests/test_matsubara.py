@@ -75,8 +75,11 @@ def test_static_term_node_ladder_consistency():
     """Extrapolations from two different node ladders agree tightly."""
     geo = Geometry.from_ratio(0.45)
     a = mats.static_term(geo, tol=1e-7)
-    b = mats.static_term(geo, tol=1e-7, nodes=(1e-4, 5e-5, 2.5e-5))
-    assert a == pytest.approx(b, rel=1e-6)
+    l_max, _, _ = mats._converged_l_max(0.45, np.array(mats._STATIC_NODES),
+                                        1e-7)
+    g, _ = roundtrip.logdet_batch(0.45, np.array([1e-4, 5e-5, 2.5e-5]),
+                                  l_max, m_rel_tol=0.05 * 1e-7)
+    assert a == pytest.approx(mats._static_limit(g), rel=1e-6)
 
 
 def test_high_temperature_only_static_survives():
@@ -165,10 +168,12 @@ def test_table_evaluates_each_frequency_once_and_slopes_on_first_use(
     tab = mats.DeterminantTable(0.3)
     assert tab.l_max_used == 16
     nodes = tab._q.size
-    # the table's own calls: grid, static nodes, then one per refinement round
+    # the table's own calls: grid, then one per refinement round; g0 comes
+    # from the ladder's values at the static nodes
     table_calls = [q for phase, q in rec.calls if phase == "table"]
-    assert len(table_calls) >= 3
-    mids = np.concatenate(table_calls[2:])
+    assert len(table_calls) >= 2
+    assert not np.isin(mats._STATIC_NODES[1:], np.concatenate(table_calls)).any()
+    mids = np.concatenate(table_calls[1:])
     assert np.unique(mids).size == mids.size
     assert not np.isin(mids, table_calls[0]).any()
     assert tab.freqs_evaluated == rec.total()

@@ -117,6 +117,10 @@ def test_logdet_negative_and_converged():
         assert res.converged
         assert res.est_truncation_error >= 0
         assert res.m_max_used <= res.l_max_used
+        # the stage the ladder certifies, at its m-sum tolerance
+        g, m_used = rt.logdet_batch(r, np.array([q]), res.l_max_used,
+                                    m_rel_tol=0.05 * tol)
+        assert (res.value, res.m_max_used) == (g[0], m_used)
 
 
 def test_nonconvergence_error_on_tiny_ceiling():

@@ -196,6 +196,33 @@ def test_entries_finite_at_large_kappa_d():
     assert blk.scaling_exponent == -1e4
 
 
+@pytest.mark.parametrize("x", [100.0, 200.0])
+def test_translation_block_against_50_digit_p_sum(x):
+    """At kappa_d of the production tables (q_max = 117 at r = 0.41) the
+    block matches a 50-digit p-sum of the same float coupling tensors with
+    exact radial factors k_p(x) e^x = sqrt(pi / 2x) K_{p+1/2}(x) e^x:
+    within 1e-12 of the block maximum (measured 7.5e-14 at 100 and 3.1e-13
+    at 200) and 2e-11 per entry (measured 1.0e-12 and 5.2e-12)."""
+    import mpmath as mp
+    m, l_max = 3, 8
+    ga, gb = coupling_tensors(m, m, l_max).expand()
+    with mp.workdps(50):
+        xm = mp.mpf(x)
+        rad = [mp.sqrt(mp.pi / (2 * xm)) * mp.besselk(p + mp.mpf(1) / 2, xm)
+               * mp.exp(xm) for p in range(ga.shape[2])]
+
+        def p_sum(g):
+            return np.array([[float(mp.fsum(mp.mpf(float(v)) * k
+                                            for v, k in zip(row, rad)))
+                              for row in rows] for rows in g])
+
+        same, cross = p_sum(ga), p_sum(gb)
+    ref = np.block([[same, cross], [cross, same]])
+    err = np.abs(translation_block(m, x, l_max).entries - ref)
+    assert np.max(err) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(err / np.abs(ref)) <= 2e-11
+
+
 def test_coupling_tensor_transposition():
     """Couplings obey U[l', l] = (-1)^{l+l'} U[l, l'] in both sectors."""
     l0, l_max = 2, 6
