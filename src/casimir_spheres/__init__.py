@@ -17,14 +17,10 @@ from .errors import (BracketingFailureError, CasimirError,
                      ExtrapolationUnstableError, GridTooCoarseError,
                      NonConvergenceError, SpectralRadiusError,
                      StepUnderflowError)
-from .specfun import ScaledBesselPair, bessel_ratio_mm, scaled_bessel_half
-from .scattering import (MultipoleIndex, Polarization, TMatrixBlock,
-                         dipole_tmatrix, tmatrix_block, tmatrix_ee, tmatrix_mm,
-                         tmatrix_static_coeff)
+from .scattering import dipole_tmatrix
 from .translation import (DipoleCouplings, TranslationBlock,
                           dipole_translation_limit, translation_block)
-from .roundtrip import (LogDetResult, RoundTripBlock, dipole_trace,
-                        logdet_one_minus_n)
+from .roundtrip import dipole_trace
 from .matsubara import (DeterminantTable, FreeEnergyResult, free_energy,
                         free_energy_ad, static_term, zero_T_energy,
                         zero_T_energy_ad)
@@ -43,12 +39,10 @@ __all__ = [
     "CasimirError", "NonConvergenceError", "SpectralRadiusError",
     "ExtrapolationUnstableError", "BracketingFailureError",
     "GridTooCoarseError", "StepUnderflowError",
-    "ScaledBesselPair", "scaled_bessel_half", "bessel_ratio_mm",
-    "MultipoleIndex", "Polarization", "TMatrixBlock", "tmatrix_mm",
-    "tmatrix_ee", "tmatrix_block", "tmatrix_static_coeff", "dipole_tmatrix",
+    "dipole_tmatrix",
     "TranslationBlock", "DipoleCouplings", "translation_block",
     "dipole_translation_limit",
-    "RoundTripBlock", "LogDetResult", "logdet_one_minus_n", "dipole_trace",
+    "dipole_trace",
     "FreeEnergyResult", "DeterminantTable", "free_energy", "zero_T_energy",
     "static_term", "free_energy_ad", "zero_T_energy_ad",
     "e_ad", "s_ad", "f_ad", "e_low_T", "e_high_T", "s_low_T", "s_high_T",

@@ -67,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--units", choices=["ad", "si"], default="ad")
         sp.add_argument("--output", choices=["csv", "json"], default="csv")
         sp.add_argument("--out", default="-", help="output path (default stdout)")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
         sp.add_argument("--reproducible", action="store_true",
                         help="omit the timestamp comment")
 
@@ -87,27 +85,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]):
-    """Precedence: command line > config file > defaults."""
+def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str]):
+    """Precedence: command line > config file > defaults.
+
+    A key is the ``dest`` of one of the mode's options, and its value gets
+    the option's own type conversion and choices check.
+    """
     if not getattr(args, "config", None):
         return args
     cfg = _read_config(args.config)
-    argv_keys = {a.split("=")[0].lstrip("-").replace("-", "_")
-                 for a in argv if a.startswith("--")}
-    floats = {"r", "R", "d", "ell", "T", "tol"}
+    modes = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in modes.choices[args.mode]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    flags = {a.split("=")[0] for a in argv if a.startswith("--")}
     for key, val in cfg.items():
-        if key in argv_keys:
-            continue  # explicit flag wins over the config file
-        if not hasattr(args, key):
+        action = options.get(key)
+        if action is None:
             raise ValueError(f"unknown config key '{key}'")
-        if key in floats:
-            setattr(args, key, float(val))
-        elif key == "jobs":
-            setattr(args, key, int(val))
-        elif key == "reproducible":
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
+        if flags.intersection(action.option_strings):
+            continue  # explicit flag wins over the config file
+        if action.nargs == 0:  # store_true
+            value = val.lower() in ("1", "true", "yes")
         else:
-            setattr(args, key, val)
+            value = action.type(val) if action.type else val
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(
+                    f"config key '{key}': invalid choice '{val}' "
+                    f"(choose from {', '.join(map(str, action.choices))})")
+        setattr(args, key, value)
     return args
 
 
@@ -302,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode == "validate":
             ok = validation.run_all(slow=args.slow)
             return 0 if ok else 2
-        args = _merge_config(args, argv)
+        args = _merge_config(parser, args, argv)
         if args.mode == "figure":
             rows, notes = _figure_rows(args.fig_id, args)
             _emit(rows, args, notes=notes)

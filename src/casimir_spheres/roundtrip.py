@@ -29,42 +29,21 @@ M = e^{-kappa ell} sigma A~ D is symmetric and N is similar to M^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import scattering, translation
 from .errors import NonConvergenceError, SpectralRadiusError
 from .geometry import Geometry
-from .specfun import L_CEILING_DEFAULT
 
-__all__ = ["RoundTripBlock", "LogDetResult", "logdet_one_minus_n",
-           "dipole_trace", "logdet_batch", "roundtrip_block"]
+__all__ = ["dipole_trace", "logdet_batch"]
 
+# the l_max ladder raises NonConvergenceError rather than double past this
+L_CEILING_DEFAULT = 200
 # frequencies per assembly and eigenvalue pass in _block_logdets
 _Q_SLICE = 128
 # share of an l_max tolerance that the m-sum of every ladder stage may drop
 _M_SHARE = 0.05
-
-
-@dataclass(frozen=True)
-class LogDetResult:
-    """Sum over m of w_m log det(I - N_m) at one imaginary frequency."""
-
-    value: float
-    l_max_used: int
-    m_max_used: int
-    converged: bool
-    est_truncation_error: float
-
-
-@dataclass(frozen=True)
-class RoundTripBlock:
-    """Materialised (similarity-scaled) round-trip matrix of one m-block."""
-
-    m: int
-    matrix: np.ndarray
-    kappa: float
 
 
 def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
@@ -189,23 +168,6 @@ def logdet_batch(r: float, q: np.ndarray, l_max: int,
     return acc, m_used
 
 
-def roundtrip_block(geometry: Geometry, kappa: float, m: int,
-                    l_max: int) -> RoundTripBlock:
-    """Materialised scaled round-trip matrix of one m-block (inspection/tests).
-
-    The matrix is similarity-equivalent to N_m, so spectra and
-    determinants agree with the physical block.
-    """
-    r = geometry.r
-    q = np.array([kappa * geometry.d])
-    lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
-    l0 = max(1, m)
-    one_way = _one_way(_atilde_batch(m, l0, l_max, q, r, lt_m, lt_e,
-                                     translation._radial_ladder(q, l_max)),
-                       l0, l_max)[0]
-    return RoundTripBlock(m=m, matrix=one_way @ one_way, kappa=kappa)
-
-
 def _start_l_max(r: float) -> int:
     return max(4, math.ceil(5.0 * r / (1.0 - 2.0 * r)))
 
@@ -269,32 +231,6 @@ def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
             if conf < tol:
                 return l_max, g_prev, max(change, conf)
         g_prev, l_max = g_next, l_next
-
-
-def logdet_one_minus_n(geometry: Geometry, kappa: float, tol: float = 1e-9,
-                       l_ceiling: int = L_CEILING_DEFAULT) -> LogDetResult:
-    """Adaptive evaluation of sum_m w_m log det(I - N_m(kappa)).
-
-    The l_max ladder (:func:`_converged_l_max`) on the one frequency:
-    ``value``, ``l_max_used`` and ``m_max_used`` are those of the stage it
-    certifies, and ``est_truncation_error`` its worst relative change.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    m_at = {}
-
-    def evaluate(r, q, l_max, m_rel_tol):
-        g, m_at[l_max] = logdet_batch(r, q, l_max, m_rel_tol=m_rel_tol)
-        return g, m_at[l_max]
-
-    l_max, g, change = _converged_l_max(geometry.r,
-                                        np.array([kappa * geometry.d]), tol,
-                                        l_ceiling, evaluate=evaluate)
-    return LogDetResult(value=float(g[0]), l_max_used=l_max,
-                        m_max_used=m_at[l_max], converged=True,
-                        est_truncation_error=change)
 
 
 def dipole_trace(geometry: Geometry, kappa: float) -> float:

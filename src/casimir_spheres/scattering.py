@@ -28,9 +28,6 @@ thus runs only where it needs at most about ``2 l_max + 4`` terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -41,40 +38,6 @@ from .errors import NonConvergenceError
 # terms of the E-mode numerator series before it counts as not converged;
 # the series runs only below y = 2 l + 4, so about 100 suffice at l_max 48
 _EE_SERIES_MAX_TERMS = 600
-
-
-class Polarization(str, Enum):
-    M = "M"
-    E = "E"
-
-
-@dataclass(frozen=True)
-class MultipoleIndex:
-    """Vector multipole channel (l, m, P) with l >= 1 and |m| <= l."""
-
-    l: int
-    m: int
-    pol: Polarization
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("vector multipoles start at l = 1")
-        if abs(self.m) > self.l:
-            raise ValueError("|m| must not exceed l")
-
-
-@dataclass(frozen=True)
-class TMatrixBlock:
-    """Diagonal T-matrix data for all channels up to ``l_max``.
-
-    ``diag_mm[l-1]`` and ``diag_ee[l-1]`` hold the exact elements for
-    multipole order l; the same value is reused for every |m| <= l.
-    """
-
-    kappa_R: float
-    l_max: int
-    diag_mm: np.ndarray
-    diag_ee: np.ndarray
 
 
 def _check_series_terms(k: int, y) -> None:
@@ -133,72 +96,6 @@ def t_scaled_log_vec(l_max: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     log_den = log_k[:, 1:] + np.log(ls + yv * np.exp(log_k[:, :-1] - log_k[:, 1:]))
     log_t_ee = ln_half_pi + log_num - log_den
     return log_t_mm, log_t_ee
-
-
-def t_scaled_log(l_max: int, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`t_scaled_log_vec` at one argument: arrays of length l_max."""
-    log_t_mm, log_t_ee = t_scaled_log_vec(l_max, np.array([y]))
-    return log_t_mm[0], log_t_ee[0]
-
-
-def tmatrix_mm(l: int, kappa_R: float) -> float:
-    """Exact M-mode T-matrix element; strictly negative for kappa_R > 0."""
-    if kappa_R <= 0:
-        raise ValueError("kappa_R must be > 0 (static limit: tmatrix_static_coeff)")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    log_t_mm, _ = t_scaled_log(l, kappa_R)
-    val = log_t_mm[l - 1] + 2.0 * kappa_R
-    if val > 709.0:
-        raise OverflowError(f"unscaled T overflows for kappa_R={kappa_R:g}")
-    return -math.exp(val)
-
-
-def tmatrix_ee(l: int, kappa_R: float) -> float:
-    """Exact E-mode T-matrix element; strictly positive for kappa_R > 0."""
-    if kappa_R <= 0:
-        raise ValueError("kappa_R must be > 0 (static limit: tmatrix_static_coeff)")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    _, log_t_ee = t_scaled_log(l, kappa_R)
-    val = log_t_ee[l - 1] + 2.0 * kappa_R
-    if val > 709.0:
-        raise OverflowError(f"unscaled T overflows for kappa_R={kappa_R:g}")
-    return math.exp(val)
-
-
-def tmatrix_block(kappa_R: float, l_max: int) -> TMatrixBlock:
-    """All diagonal elements up to l_max at a common argument."""
-    log_mm, log_ee = t_scaled_log(l_max, kappa_R)
-    return TMatrixBlock(kappa_R=kappa_R, l_max=l_max,
-                        diag_mm=-np.exp(log_mm + 2.0 * kappa_R),
-                        diag_ee=np.exp(log_ee + 2.0 * kappa_R))
-
-
-@lru_cache(maxsize=None)
-def tmatrix_static_coeff(l: int, pol: str = "M") -> float:
-    """Leading small-argument coefficient c_{l,P} of T ~ c_{l,P} (kappa R)^{2l+1}.
-
-    Computed once by a Richardson-extrapolated numeric limit of the exact
-    element (steps x, x/2, x/4 with even-order error model) and cached.
-    For the dipole: c_{1,M} = -1/3 and c_{1,E} = +2/3.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    pol = Polarization(pol).value
-    if l > 80:
-        raise OverflowError("static coefficient underflows float64 for l > 80")
-    x0 = 4e-3
-    vals = []
-    for x in (x0, x0 / 2.0, x0 / 4.0):
-        log_mm, log_ee = t_scaled_log(l, x)
-        lg = (log_mm if pol == "M" else log_ee)[l - 1] + 2.0 * x
-        sign = -1.0 if pol == "M" else 1.0
-        vals.append(sign * math.exp(lg - (2 * l + 1) * math.log(x)))
-    # error model c (1 + a x^2 + b x^3 + ...): kill x^2, then x^3
-    r1h = (4.0 * vals[1] - vals[0]) / 3.0
-    r1q = (4.0 * vals[2] - vals[1]) / 3.0
-    return (8.0 * r1q - r1h) / 7.0
 
 
 def dipole_tmatrix(q: float, R_over_d: float) -> tuple[float, float]:

@@ -14,9 +14,8 @@ The ladders are computed by three-term recurrences in the stable
 direction: forward (upward in order) for K, backward Miller recursion for
 I seeded ``15 + ceil(x)`` orders above the requested one.  Each ladder has
 one implementation, vectorised over its arguments: a batch of frequencies
-runs every recurrence step as one array operation, and the scalar entry
-points :func:`scaled_bessel_half` and :func:`bessel_ratio_mm` read row 0
-of a one-argument batch.  The ladders are carried as natural logarithms
+runs every recurrence step as one array operation, and a single argument
+is a batch of one.  The ladders are carried as natural logarithms
 with explicit renormalisation, so no intermediate ever leaves the float64
 range for any order/argument combination.
 """
@@ -24,84 +23,12 @@ range for any order/argument combination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-L_CEILING_DEFAULT = 200
 
 # renormalisation threshold for recurrences carried in linear space
 _RENORM = 1e280
 _LN_RENORM = math.log(_RENORM)
-
-
-@dataclass(frozen=True)
-class ScaledBesselPair:
-    """Scaled Bessel values at half-integer order ``l + 1/2``.
-
-    Attributes
-    ----------
-    i_scaled : float
-        :math:`I_{l+1/2}(x)\\,e^{-x}`
-    k_scaled : float
-        :math:`K_{l+1/2}(x)\\,e^{+x}`
-    order_l : int
-        Integer part of the order.
-    argument : float
-        The (positive) argument x.
-    """
-
-    i_scaled: float
-    k_scaled: float
-    order_l: int
-    argument: float
-
-
-def _log_pair(l: int, x: float) -> tuple[float, float]:
-    """(log I_{l+1/2}(x) e^{-x}, log K_{l+1/2}(x) e^{+x}) from the ladders."""
-    xs = np.array([x], dtype=float)
-    return (float(log_scaled_iv_ladder_vec(l, xs)[0, l]),
-            float(log_scaled_kv_ladder_vec(l, xs)[0, l]))
-
-
-def scaled_bessel_half(l: int, x: float,
-                       l_ceiling: int = L_CEILING_DEFAULT) -> ScaledBesselPair:
-    """Scaled modified Bessel pair at order ``l + 1/2``.
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0``.
-    OverflowError
-        If ``l`` exceeds ``l_ceiling``, or the scaled values leave the
-        float64 range for this (l, x) combination.
-    """
-    if x <= 0:
-        raise ValueError("argument must be > 0")
-    if l < 0:
-        raise ValueError("order must be >= 0")
-    if l > l_ceiling:
-        raise OverflowError(f"order l={l} exceeds l_ceiling={l_ceiling}")
-    log_i, log_k = _log_pair(l, x)
-    if log_k > 709.0 or log_i < -745.0:
-        raise OverflowError(
-            f"scaled Bessel values for l={l}, x={x:g} are outside float64 range; "
-            "use the log ladders instead")
-    return ScaledBesselPair(i_scaled=math.exp(log_i), k_scaled=math.exp(log_k),
-                            order_l=l, argument=x)
-
-
-def bessel_ratio_mm(l: int, x: float) -> float:
-    """Unscaled ratio ``I_{l+1/2}(x) / K_{l+1/2}(x)``.
-
-    The exponential scalings cancel up to ``e^{2x}``, which is reinstated
-    explicitly here.  Strictly positive and strictly increasing in x.
-    """
-    log_i, log_k = _log_pair(l, x)
-    log_ratio = log_i - log_k + 2.0 * x
-    if log_ratio > 709.0:
-        raise OverflowError(f"I/K ratio overflows for l={l}, x={x:g}")
-    return math.exp(log_ratio)
 
 
 def log_scaled_iv_ladder_vec(l_max: int, x: np.ndarray) -> np.ndarray:

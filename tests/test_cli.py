@@ -122,15 +122,27 @@ def test_config_file_precedence(tmp_path):
     assert float(out.strip().splitlines()[-1].split(",")[0]) == 3.0
 
 
-def test_jobs_is_accepted_and_changes_nothing(tmp_path):
-    args = ["sweep", "--r", "0.01", "--z", "0.05:20:log200",
-            "--branch", "asymptotic", "--reproducible"]
-    code, out, _ = run_cli(args)
+def test_flag_beats_config_key_of_another_name(tmp_path):
+    """The --id flag stores into fig_id; the flag still wins over the key."""
+    cfg = tmp_path / "fig.cfg"
+    cfg.write_text("fig_id = 1-right\n")
+    code, out, _ = run_cli(["figure", "--id", "2-left", "--config", str(cfg),
+                            "--reproducible"])
     assert code == 0
-    assert run_cli(args + ["--jobs", "4"]) == (0, out, "")
+    assert "# figure 2-left" in out
+
+
+def test_jobs_flag_and_key_exit_2(tmp_path):
+    """There is no --jobs flag or jobs key: both exit 2 like any unknown one."""
+    args = ["energy", "--r", "0.01", "--z", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--jobs", "4"])
+    assert exc.value.code == 2
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text("jobs = 4\n")
-    assert run_cli(args + ["--config", str(cfg)]) == (0, out, "")
+    code, _, err = run_cli(args + ["--config", str(cfg)])
+    assert code == 2
+    assert err.startswith("error:config:")
 
 
 def test_asymptotic_rows_equal_per_z_closed_forms():
@@ -156,6 +168,19 @@ def test_unknown_config_key(tmp_path):
                             "--z", "1"])
     assert code == 2
     assert "error:config:" in err
+
+
+@pytest.mark.parametrize("line", ["units = furlongs", "output = xml",
+                                  "mode = validate"])
+def test_config_values_checked_like_flags(tmp_path, line):
+    """A config value gets its option's type and choices check, and a key
+    that names no option of the mode is rejected."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(["energy", "--r", "0.01", "--z", "1",
+                              "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:config:")
 
 
 def test_figure_2_left_shape():

@@ -2,89 +2,90 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from casimir_spheres import scattering
 from casimir_spheres.errors import NonConvergenceError
-from casimir_spheres.scattering import MultipoleIndex, Polarization
 
 
 def test_dipole_limit_values():
     # leading order at kappa R = 0.01: -(x^3)/3 and +2 x^3/3 to 1e-3
     x = 0.01
-    assert scattering.tmatrix_mm(1, x) == pytest.approx(-x**3 / 3.0, rel=1e-3)
-    assert scattering.tmatrix_ee(1, x) == pytest.approx(2.0 * x**3 / 3.0, rel=1e-3)
+    lt_m, lt_e = scattering.t_scaled_log_vec(1, np.array([x]))
+    assert -math.exp(lt_m[0, 0] + 2.0 * x) == pytest.approx(-x**3 / 3.0, rel=1e-3)
+    assert math.exp(lt_e[0, 0] + 2.0 * x) == pytest.approx(2.0 * x**3 / 3.0, rel=1e-3)
 
 
 def test_dipole_limit_ratio_tends_to_one():
-    ratios_mm = []
-    ratios_ee = []
-    for x in (1e-2, 1e-3, 1e-4):
-        ratios_mm.append(scattering.tmatrix_mm(1, x) / (-x**3 / 3.0))
-        ratios_ee.append(scattering.tmatrix_ee(1, x) / (2.0 * x**3 / 3.0))
-    assert abs(ratios_mm[-1] - 1.0) < 1e-7
-    assert abs(ratios_ee[-1] - 1.0) < 1e-7
-    assert abs(ratios_mm[-1] - 1.0) < abs(ratios_mm[0] - 1.0)
-    assert abs(ratios_ee[-1] - 1.0) < abs(ratios_ee[0] - 1.0)
+    x = np.array([1e-2, 1e-3, 1e-4])
+    lt_m, lt_e = scattering.t_scaled_log_vec(1, x)
+    dev_mm = np.abs(-np.exp(lt_m[:, 0] + 2.0 * x) / (-x**3 / 3.0) - 1.0)
+    dev_ee = np.abs(np.exp(lt_e[:, 0] + 2.0 * x) / (2.0 * x**3 / 3.0) - 1.0)
+    assert dev_mm[-1] < 1e-7 and dev_ee[-1] < 1e-7
+    assert dev_mm[-1] < dev_mm[0] and dev_ee[-1] < dev_ee[0]
 
 
 def test_asymptotic_consistency_window():
-    for x in (0.01, 0.03, 0.09):
-        assert abs(scattering.tmatrix_mm(1, x) / (-x**3 / 3.0) - 1.0) < x**2
-        assert abs(scattering.tmatrix_ee(1, x) / (2.0 * x**3 / 3.0) - 1.0) < x**2
+    x = np.array([0.01, 0.03, 0.09])
+    lt_m, lt_e = scattering.t_scaled_log_vec(1, x)
+    assert np.all(np.abs(-np.exp(lt_m[:, 0] + 2.0 * x) / (-x**3 / 3.0) - 1.0)
+                  < x**2)
+    assert np.all(np.abs(np.exp(lt_e[:, 0] + 2.0 * x) / (2.0 * x**3 / 3.0)
+                         - 1.0) < x**2)
 
 
 def test_frozen_values():
     # precomputed independently at 30 digits
-    assert scattering.tmatrix_mm(3, 2.0) == pytest.approx(
+    lt_m, _ = scattering.t_scaled_log_vec(3, np.array([2.0]))
+    assert -math.exp(lt_m[0, 2] + 4.0) == pytest.approx(
         -0.14546655822633610988, rel=1e-12)
-    assert scattering.tmatrix_ee(2, 1.5) == pytest.approx(
+    _, lt_e = scattering.t_scaled_log_vec(2, np.array([1.5]))
+    assert math.exp(lt_e[0, 1] + 3.0) == pytest.approx(
         0.35010793340904725566, rel=1e-12)
 
 
 def test_mm_always_negative_ee_positive():
-    for l in (1, 2, 5, 12):
-        for x in (1e-3, 0.2, 3.0, 25.0, 90.0):
-            assert scattering.tmatrix_mm(l, x) < 0
-            assert scattering.tmatrix_ee(l, x) > 0
+    """The signs are fixed (M < 0 < E), so the ladders carry magnitudes:
+    finite logs whose unscaled elements are nonzero float64 numbers."""
+    x = np.array([1e-3, 0.2, 3.0, 25.0, 90.0])
+    lt_m, lt_e = scattering.t_scaled_log_vec(12, x)
+    for lt in (lt_m, lt_e):
+        assert np.all(np.isfinite(lt))
+        assert np.all(np.exp(lt + 2.0 * x[:, None]) > 0.0)
 
 
 def test_block_reuse_per_m():
-    blk = scattering.tmatrix_block(1.7, 6)
-    assert blk.diag_mm.shape == (6,)
-    assert np.all(blk.diag_mm < 0)
-    assert np.all(blk.diag_ee > 0)
-    assert blk.diag_mm[2] == pytest.approx(scattering.tmatrix_mm(3, 1.7), rel=1e-13)
+    """An element does not depend on the l_max of the ladder it is read
+    from, so one row serves every m block up to that l_max."""
+    lt_m6, lt_e6 = scattering.t_scaled_log_vec(6, np.array([1.7]))
+    lt_m3, lt_e3 = scattering.t_scaled_log_vec(3, np.array([1.7]))
+    assert lt_m6.shape == (1, 6)
+    assert lt_m6[0, 2] == pytest.approx(lt_m3[0, 2], rel=1e-13)
+    assert lt_e6[0, 2] == pytest.approx(lt_e3[0, 2], rel=1e-13)
 
 
-def test_static_coefficients_dipole():
-    assert scattering.tmatrix_static_coeff(1, "M") == pytest.approx(-1.0 / 3.0, rel=1e-8)
-    assert scattering.tmatrix_static_coeff(1, "E") == pytest.approx(2.0 / 3.0, rel=1e-8)
-
-
-def test_static_coefficients_quadrupole():
-    # exact limits -1/45 and +1/30, cross-checked in high precision
-    assert scattering.tmatrix_static_coeff(2, "M") == pytest.approx(-1.0 / 45.0, rel=1e-7)
-    assert scattering.tmatrix_static_coeff(2, "E") == pytest.approx(1.0 / 30.0, rel=1e-7)
-
-
-def test_static_coefficient_convergence_order():
-    # T(x)/x^{2l+1} approaches the coefficient at observed order >= 2
-    c = scattering.tmatrix_static_coeff(2, "M")
-    errs = []
-    for x in (2e-2, 1e-2, 5e-3):
-        errs.append(abs(scattering.tmatrix_mm(2, x) / x**5 - c))
-    order1 = math.log2(errs[0] / errs[1])
-    order2 = math.log2(errs[1] / errs[2])
-    assert order1 >= 1.9 and order2 >= 1.9
+def test_small_argument_law():
+    """T -> c_l y^{2l+1} as y = kappa R -> 0, with the closed forms
+    c_{l,M} = -pi / (2^{2l+1} Gamma(l+3/2) Gamma(l+1/2)) and
+    c_{l,E} = -(l+1)/l c_{l,M}, within relative y^2 at every l <= 40."""
+    ls = np.arange(1, 41)
+    log_c_m = (math.log(math.pi) - (2 * ls + 1) * math.log(2.0)
+               - gammaln(ls + 1.5) - gammaln(ls + 0.5))
+    log_c_e = log_c_m + np.log((ls + 1.0) / ls)
+    # the dipole and quadrupole values -1/3, 2/3, -1/45, 1/30
+    assert (np.exp([log_c_m[0], log_c_e[0], log_c_m[1], log_c_e[1]])
+            == pytest.approx([1 / 3, 2 / 3, 1 / 45, 1 / 30], rel=1e-14))
+    y = np.array([1e-2, 1e-3])
+    lt_m, lt_e = scattering.t_scaled_log_vec(40, y)
+    power = (2 * ls + 1) * np.log(y)[:, None] - 2.0 * y[:, None]
+    for lt, log_c in ((lt_m, log_c_m), (lt_e, log_c_e)):
+        assert np.all(np.abs(lt - (log_c + power)) <= y[:, None]**2)
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        scattering.tmatrix_mm(1, 0.0)
-    with pytest.raises(ValueError):
-        scattering.tmatrix_ee(1, -2.0)
-    with pytest.raises(ValueError):
-        scattering.tmatrix_mm(0, 1.0)
+    for y in (0.0, -2.0):
+        with pytest.raises(ValueError):
+            scattering.t_scaled_log_vec(1, np.array([1.0, y]))
 
 
 def test_dipole_tmatrix_exact():
@@ -93,15 +94,6 @@ def test_dipole_tmatrix_exact():
     t_mm, t_ee = scattering.dipole_tmatrix(1.0, 0.1)
     assert t_mm == pytest.approx(-1e-3 / 3.0, rel=1e-14)
     assert t_ee == pytest.approx(2e-3 / 3.0, rel=1e-14)
-
-
-def test_multipole_index_invariants():
-    idx = MultipoleIndex(l=2, m=-2, pol=Polarization.E)
-    assert idx.pol is Polarization.E
-    with pytest.raises(ValueError):
-        MultipoleIndex(l=0, m=0, pol=Polarization.M)
-    with pytest.raises(ValueError):
-        MultipoleIndex(l=1, m=2, pol=Polarization.M)
 
 
 def log_t_ee_mpmath(l, y):

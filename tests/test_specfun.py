@@ -15,17 +15,17 @@ def scaled_ladders(l_max, x):
 
 
 def test_closed_form_examples_l0():
-    pair = specfun.scaled_bessel_half(0, 1.0)
-    assert pair.i_scaled == pytest.approx(
+    i, k = scaled_ladders(0, 1.0)
+    assert i[0] == pytest.approx(
         math.sqrt(2.0 / math.pi) * math.sinh(1.0) * math.exp(-1.0), rel=1e-14)
-    assert pair.k_scaled == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-14)
+    assert k[0] == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-14)
 
 
 def test_small_argument_leading_order_l1():
     # I_{3/2}(x) e^{-x} / x^{3/2} -> sqrt(2/pi)/3
     for x in (1e-6, 1e-5):
-        pair = specfun.scaled_bessel_half(1, x)
-        assert pair.i_scaled / x**1.5 == pytest.approx(
+        i, _ = scaled_ladders(1, x)
+        assert i[1] / x**1.5 == pytest.approx(
             math.sqrt(2.0 / math.pi) / 3.0, rel=1e-4)
 
 
@@ -35,10 +35,11 @@ def test_oracle_grid(testdata):
     assert len(data["cases"]) == 2100
     worst = 0.0
     for case in data["cases"]:
-        pair = specfun.scaled_bessel_half(case["l"], case["x"])
+        l = case["l"]
+        i, k = scaled_ladders(l, case["x"])
         worst = max(worst,
-                    abs(pair.i_scaled / float(case["i_scaled"]) - 1.0),
-                    abs(pair.k_scaled / float(case["k_scaled"]) - 1.0))
+                    abs(i[l] / float(case["i_scaled"]) - 1.0),
+                    abs(k[l] / float(case["k_scaled"]) - 1.0))
     assert worst <= 1e-12
 
 
@@ -71,47 +72,49 @@ def test_k_increasing_in_order():
 def test_positive_entries():
     for l in (0, 3, 17):
         for x in (1e-4, 1.0, 50.0):
-            pair = specfun.scaled_bessel_half(l, x)
-            assert pair.i_scaled > 0 and pair.k_scaled > 0
-            assert math.isfinite(pair.i_scaled) and math.isfinite(pair.k_scaled)
+            i, k = scaled_ladders(l, x)
+            assert i[l] > 0 and k[l] > 0
+            assert math.isfinite(i[l]) and math.isfinite(k[l])
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        specfun.scaled_bessel_half(2, 0.0)
-    with pytest.raises(ValueError):
-        specfun.scaled_bessel_half(2, -1.0)
-    with pytest.raises(OverflowError):
-        specfun.scaled_bessel_half(201, 1.0)
-    with pytest.raises(ValueError):
-        specfun.bessel_ratio_mm(1, -0.5)
+    for ladder in (specfun.log_scaled_iv_ladder_vec,
+                   specfun.log_scaled_kv_ladder_vec,
+                   specfun.log_khat_spherical_ladder_vec):
+        for x in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                ladder(2, np.array([1.0, x]))
 
 
 def test_ratio_small_argument_law():
     # I_{3/2}/K_{3/2} -> 2 x^3 / (3 pi), i.e. T_MM -> -x^3/3
-    for x in (1e-3, 1e-2):
-        ratio = specfun.bessel_ratio_mm(1, x)
-        assert ratio == pytest.approx(2.0 * x**3 / (3.0 * math.pi), rel=2e-3)
+    x = np.array([1e-3, 1e-2])
+    ratio = np.exp(specfun.log_scaled_iv_ladder_vec(1, x)[:, 1]
+                   - specfun.log_scaled_kv_ladder_vec(1, x)[:, 1] + 2.0 * x)
+    assert ratio == pytest.approx(2.0 * x**3 / (3.0 * math.pi), rel=2e-3)
 
 
 def test_ratio_monotone_in_x():
     xs = np.geomspace(1e-3, 20.0, 40)
+    vals = np.exp(specfun.log_scaled_iv_ladder_vec(4, xs)
+                  - specfun.log_scaled_kv_ladder_vec(4, xs) + 2.0 * xs[:, None])
     for l in (0, 1, 4):
-        vals = np.array([specfun.bessel_ratio_mm(l, x) for x in xs])
-        assert np.all(vals > 0)
-        assert np.all(np.diff(vals) > 0)
+        assert np.all(vals[:, l] > 0)
+        assert np.all(np.diff(vals[:, l]) > 0)
 
 
 def test_frozen_value_l5():
     # precomputed with the independent finite closed-form sums (30 digits)
-    pair = specfun.scaled_bessel_half(5, 2.5)
-    assert pair.i_scaled == pytest.approx(0.001232634316935735648, rel=1e-13)
-    assert pair.k_scaled == pytest.approx(67.018913403966220793, rel=1e-13)
+    i, k = scaled_ladders(5, 2.5)
+    assert i[5] == pytest.approx(0.001232634316935735648, rel=1e-13)
+    assert k[5] == pytest.approx(67.018913403966220793, rel=1e-13)
 
 
 def test_frozen_ratio_l2():
-    assert specfun.bessel_ratio_mm(2, 4.0) == pytest.approx(
-        213.9422960176033036, rel=1e-12)
+    x = np.array([4.0])
+    assert math.exp(specfun.log_scaled_iv_ladder_vec(2, x)[0, 2]
+                    - specfun.log_scaled_kv_ladder_vec(2, x)[0, 2]
+                    + 8.0) == pytest.approx(213.9422960176033036, rel=1e-12)
 
 
 def test_khat_ladder_against_direct():
