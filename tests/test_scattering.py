@@ -64,6 +64,33 @@ def test_block_reuse_per_m():
     assert lt_e6[0, 2] == pytest.approx(lt_e3[0, 2], rel=1e-13)
 
 
+def static_ratio(l, pol, y):
+    """T(y) / y^{2l+1}, which tends to the static coefficient c_{l,P}."""
+    lt_m, lt_e = scattering.t_scaled_log_vec(l, np.array([y]))
+    lt, sign = (lt_m, -1.0) if pol == "M" else (lt_e, 1.0)
+    return sign * math.exp(lt[0, l - 1] + 2.0 * y - (2 * l + 1) * math.log(y))
+
+
+def test_static_coefficients_dipole():
+    assert static_ratio(1, "M", 1e-5) == pytest.approx(-1.0 / 3.0, rel=1e-8)
+    assert static_ratio(1, "E", 1e-5) == pytest.approx(2.0 / 3.0, rel=1e-8)
+
+
+def test_static_coefficients_quadrupole():
+    # exact limits -1/45 and +1/30, cross-checked in high precision
+    assert static_ratio(2, "M", 1e-5) == pytest.approx(-1.0 / 45.0, rel=1e-7)
+    assert static_ratio(2, "E", 1e-5) == pytest.approx(1.0 / 30.0, rel=1e-7)
+
+
+def test_static_coefficient_convergence_order():
+    # T(x)/x^{2l+1} approaches the exact coefficient at observed order >= 2
+    errs = [abs(static_ratio(2, "M", x) + 1.0 / 45.0)
+            for x in (2e-2, 1e-2, 5e-3)]
+    order1 = math.log2(errs[0] / errs[1])
+    order2 = math.log2(errs[1] / errs[2])
+    assert order1 >= 1.9 and order2 >= 1.9
+
+
 def test_small_argument_law():
     """T -> c_l y^{2l+1} as y = kappa R -> 0, with the closed forms
     c_{l,M} = -pi / (2^{2l+1} Gamma(l+3/2) Gamma(l+1/2)) and
