@@ -14,9 +14,8 @@ __version__ = "0.1.0"
 
 from .geometry import Geometry, ThermalPoint
 from .errors import (BracketingFailureError, CasimirError,
-                     ExtrapolationUnstableError, GridTooCoarseError,
-                     NonConvergenceError, SpectralRadiusError,
-                     StepUnderflowError)
+                     GridTooCoarseError, NonConvergenceError,
+                     SpectralRadiusError, StepUnderflowError)
 from .scattering import dipole_tmatrix
 from .translation import (DipoleCouplings, TranslationBlock,
                           dipole_translation_limit, translation_block)
@@ -37,8 +36,7 @@ __all__ = [
     "__version__",
     "Geometry", "ThermalPoint",
     "CasimirError", "NonConvergenceError", "SpectralRadiusError",
-    "ExtrapolationUnstableError", "BracketingFailureError",
-    "GridTooCoarseError", "StepUnderflowError",
+    "BracketingFailureError", "GridTooCoarseError", "StepUnderflowError",
     "dipole_tmatrix",
     "TranslationBlock", "DipoleCouplings", "translation_block",
     "dipole_translation_limit",

@@ -12,6 +12,7 @@ go to stderr with a machine-parseable ``error:<kind>:`` prefix.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,11 +47,13 @@ def _read_config(path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    # no abbreviated flags: the config precedence matches full flags only
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    p = strict(
         prog="casimir-spheres",
         description="Casimir energy, entropy and force between two equal "
                     "perfect-metal spheres")
-    sub = p.add_subparsers(dest="mode", required=True)
+    sub = p.add_subparsers(dest="mode", required=True, parser_class=strict)
 
     def add_common(sp):
         sp.add_argument("--config", help="flat key=value config file")

@@ -13,10 +13,6 @@ class SpectralRadiusError(CasimirError):
     """det(I - N) <= 0 was detected, i.e. the round-trip operator is unphysical."""
 
 
-class ExtrapolationUnstableError(CasimirError):
-    """Extrapolation estimates do not behave polynomially in the step parameter."""
-
-
 class BracketingFailureError(CasimirError):
     """A root/feature bracket with the required sign pattern could not be found."""
 

@@ -8,9 +8,9 @@ The Casimir contribution to the Helmholtz free energy is
     g(q) = \sum_m w_m \log\det(I - N_m(q/d)),
 
 with Matsubara frequencies ``kappa_n = n / lambda_T`` and the n = 0 term
-weighted by 1/2.  Everything is computed in adimensional variables
-``r = R/d``, ``z = d/lambda_T``, ``q = kappa d``; physical units enter only
-at the boundary.
+weighted by 1/2; g(0) is evaluated at q = 0, in closed form.  Everything
+is computed in adimensional variables ``r = R/d``, ``z = d/lambda_T``,
+``q = kappa d``; physical units enter only at the boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 
 from . import roundtrip
 from .constants import HBAR_C
-from .errors import ExtrapolationUnstableError, NonConvergenceError
+from .errors import NonConvergenceError
 from .geometry import Geometry, ThermalPoint
 
 __all__ = ["Geometry", "ThermalPoint", "FreeEnergyResult", "free_energy",
@@ -35,8 +35,6 @@ __all__ = ["Geometry", "ThermalPoint", "FreeEnergyResult", "free_energy",
 
 N_CEILING = 10**6
 
-# q-nodes used for the kappa -> 0 extrapolation of the static term
-_STATIC_NODES = (1e-3, 5e-4, 2.5e-4)
 # Matsubara terms per logdet_batch call of free_energy
 _CHUNK = 16
 
@@ -58,57 +56,23 @@ class FreeEnergyResult:
 
 def _sum_l_max(r: float, z: float, tol: float) -> int:
     """l_max of a Matsubara sum at (r, z): the ladder on the first chunk's
-    frequencies and the static nodes."""
-    probe = np.unique(np.concatenate([z * np.arange(1, _CHUNK + 1.0),
-                                      np.asarray(_STATIC_NODES)]))
+    frequencies and q = 0."""
+    probe = np.concatenate([[0.0], z * np.arange(1, _CHUNK + 1.0)])
     l_max, _, _ = _converged_l_max(r, probe, tol)
     return l_max
 
 
-def _static_limit(g: np.ndarray) -> float:
-    """g(0) by Lagrange extrapolation through g at ``_STATIC_NODES``.
-
-    Assumes polynomial behaviour in q through (h, h/2, h/4); raises
-    ExtrapolationUnstableError if the correction terms do not shrink or
-    the limit is not negative.
+def static_term(geometry: Geometry, tol: float = 1e-9) -> float:
+    """g(0) = sum_m w_m log det(I - N_m) at kappa = 0, the value of the
+    l_max ladder's certified stage.  Cached per (aspect ratio, tol): the
+    limit is adimensional.
     """
-    g0 = (g[0] - 6.0 * g[1] + 8.0 * g[2]) / 3.0
-    r1 = 2.0 * g[1] - g[0]
-    r2 = 2.0 * g[2] - g[1]
-    step1 = abs(g[1] - g[0])
-    step2 = abs(r2 - r1)
-    if step1 > 0 and step2 > 0.75 * step1:
-        raise ExtrapolationUnstableError(
-            f"static-term extrapolation not polynomial: raw step {step1:g}, "
-            f"first-order residual {step2:g}")
-    if g0 >= 0.0:
-        raise ExtrapolationUnstableError("static term must be negative")
-    return float(g0)
-
-
-def static_term(geometry: Geometry, tol: float = 1e-9,
-                l_max_hint: int | None = None) -> float:
-    """lim_{kappa->0} sum_m w_m log det(I - N_m), by :func:`_static_limit`.
-
-    ``l_max_hint`` is accepted if the ladder's confirmation stage agrees,
-    else the ladder starts from it.  Cached per (aspect ratio, tol, hint):
-    the limit is adimensional.
-    """
-    return _static_term_cached(geometry.r, tol, l_max_hint)
+    return _static_term_cached(geometry.r, tol)
 
 
 @lru_cache(maxsize=256)
-def _static_term_cached(r: float, tol: float,
-                        l_max_hint: int | None = None) -> float:
-    q = np.asarray(_STATIC_NODES)
-    if l_max_hint is not None:
-        g, _ = roundtrip.logdet_batch(r, q, l_max_hint,
-                                      m_rel_tol=roundtrip._M_SHARE * tol)
-        change, g_conf = roundtrip._confirm(r, q, g, l_max_hint, tol)
-        if change < tol:
-            return _static_limit(g_conf)
-    _, g, _ = _converged_l_max(r, q, tol, l_start=l_max_hint)
-    return _static_limit(g)
+def _static_term_cached(r: float, tol: float) -> float:
+    return float(_converged_l_max(r, np.array([0.0]), tol)[1][0])
 
 
 def free_energy(geometry: Geometry, thermal: ThermalPoint, tol: float = 1e-9,
@@ -120,9 +84,9 @@ def free_energy(geometry: Geometry, thermal: ThermalPoint, tol: float = 1e-9,
     last two terms) is below ``tol`` times the sum.  T = 0 dispatches to
     :func:`zero_T_energy`.
 
-    ``l_max_hint`` skips the initial multipole-convergence ladder (useful
-    for derivative stencils around a converged central geometry); the
-    periodic in-sum confirmation still guards against a stale cutoff.
+    ``l_max_hint`` skips the sum's initial multipole-convergence ladder
+    (useful for derivative stencils around a converged central geometry);
+    the periodic in-sum confirmation still guards against a stale cutoff.
     """
     if thermal.T < 0:
         raise ValueError("temperature must be >= 0")
@@ -132,7 +96,7 @@ def free_energy(geometry: Geometry, thermal: ThermalPoint, tol: float = 1e-9,
     r = geometry.r
     kT = thermal.kT
 
-    g0 = static_term(geometry, tol, l_max_hint=l_max_hint)
+    g0 = static_term(geometry, tol)
     per_term = [0.5 * kT * g0]
     acc = 0.5 * g0
     n = 1
@@ -272,13 +236,13 @@ class DeterminantTable:
             np.geomspace(self.q_min, 1.0, self.n_small, endpoint=False),
             np.linspace(1.0, self.q_max, self.n_large),
         ]))
-        # the ladder's certified stage has evaluated the static nodes, which
-        # lead its probes, at the table's l_max
+        # the ladder's certified stage has evaluated q = 0, its first
+        # probe, at the table's l_max
         l_max, g_probe, _ = _converged_l_max(
-            r, np.array([*_STATIC_NODES, 0.3, 1.0, 3.0, 10.0]), self.tol,
+            r, np.array([0.0, 0.3, 1.0, 3.0, 10.0]), self.tol,
             evaluate=self._logdet_batch)
         self.l_max_used = l_max
-        self.g0 = _static_limit(g_probe[:len(_STATIC_NODES)])
+        self.g0 = float(g_probe[0])
         g = self._g_at(grid)
         # the determinant resolves |g| only down to machine epsilon; trim
         # the exhausted tail (its contribution is below any tolerance)

@@ -23,7 +23,8 @@ a prefactor that is formed in the log domain.  Entries with equal P lie on
 one anti-diagonal; each anti-diagonal is one matrix product over the whole
 batch of frequencies, for every kappa and l_max alike.  Only l <= l' is
 summed: by A~[l', l] = (-1)^{l+l'} A~[l, l'], the one-way operator
-M = e^{-kappa ell} sigma A~ D is symmetric and N is similar to M^2.
+M = e^{-kappa ell} sigma A~ D is symmetric and N is similar to M^2.  At
+kappa = 0, A~ is its closed-form limit (docs/derivations.md, section 8).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import scattering, translation
 from .errors import NonConvergenceError, SpectralRadiusError
@@ -51,12 +53,13 @@ def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
                   rad_log: np.ndarray) -> np.ndarray:
     """Packed l <= l' half of ``e^{-q(1-2r)} A~`` for one m over a batch.
 
-    ``lt_m``, ``lt_e`` are log|T e^{-2y}| ladders of shape (nq, l_max) and
+    ``lt_m``, ``lt_e`` are log|T e^{-2y}| ladders of shape (nq', l_max) and
     ``rad_log`` is :func:`translation._radial_ladder` at this l_max or
-    above.  Returns (nq, 2, 2, npair): [:, a, b, k] couples channel a at
-    l_k to channel b at l'_k, for the pairs of
-    :func:`translation.antidiagonal_pairs`, the order of the packed
-    coupling blocks.  The p-sums scaled by 1/k_P come from
+    above, all at the nq' frequencies q > 0 of the batch, in order; the
+    rows q = 0 are :func:`_static_half`.  Returns (nq, 2, 2, npair):
+    [:, a, b, k] couples channel a at l_k to channel b at l'_k, for the
+    pairs of :func:`translation.antidiagonal_pairs`, the order of the
+    packed coupling blocks.  The p-sums scaled by 1/k_P come from
     :func:`translation._scaled_sums`; k_P, the T-matrix weights and the gap
     factor come back in one prefactor whose exponent is summed before it
     is exponentiated (docs/derivations.md, section 1).
@@ -67,15 +70,42 @@ def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
     sums = translation._scaled_sums(translation.coupling_tensors(m, l0, l_max),
                                     rad_log)
 
+    dyn = q > 0.0
     lth = 0.5 * np.stack([lt_m[:, l0 - 1:], lt_e[:, l0 - 1:]], axis=1)
     # lth_l + lth_l' first, so the mirror pair (l', l) has the same exponent
-    out = np.empty((q.shape[0], 2, 2, i.size))
+    half = np.empty((lth.shape[0], 2, 2, i.size))
     np.add(np.take(lth, i, axis=2)[:, :, None, :],
-           np.take(lth, j, axis=2)[:, None, :, :], out=out)
-    out += (np.take(rad_log, 2 * l0 + 1 + i + j, axis=1)
-            - (q * (1.0 - 2.0 * r))[:, None])[:, None, None, :]
-    np.exp(out, out=out)
-    out *= sums[:, [[0, 1], [1, 0]]]
+           np.take(lth, j, axis=2)[:, None, :, :], out=half)
+    half += (np.take(rad_log, 2 * l0 + 1 + i + j, axis=1)
+             - (q[dyn] * (1.0 - 2.0 * r))[:, None])[:, None, None, :]
+    np.exp(half, out=half)
+    half *= sums[:, [[0, 1], [1, 0]]]
+    if dyn.all():
+        return half
+    out = np.empty((q.shape[0], 2, 2, i.size))
+    out[dyn] = half
+    out[~dyn] = _static_half(m, l0, l_max, r)
+    return out
+
+
+def _static_half(m: int, l0: int, l_max: int, r: float) -> np.ndarray:
+    """Packed l <= l' half of A~ at q = 0, shape (2, 2, npair): only
+    p = l + l' survives the preserving sums (column 0 of each GA block) and
+    the mixing sums vanish (docs/derivations.md, section 8)."""
+    i, j = translation.antidiagonal_pairs(l_max - l0 + 1)[:2]
+    ga = np.concatenate([a[:, 0] for a, _ in
+                         translation.coupling_tensors(m, l0, l_max).diagonals()])
+    ls = np.arange(l0, l_max + 1.0)
+    # log|c_l| r^{2l+1} of T -> c_l (qr)^{2l+1}, M then E = (l+1)/l M
+    log_m = (math.log(math.pi) - (2.0 * ls + 1.0) * math.log(2.0 / r)
+             - gammaln(ls + 1.5) - gammaln(ls + 0.5))
+    lth = 0.5 * np.stack([log_m, log_m + np.log((ls + 1.0) / ls)])
+    # log k_p(q) q^{p+1} -> log((pi/2) (2p-1)!!), (2p-1)!! = (2p)! / (2^p p!)
+    p = 2.0 * l0 + i + j
+    log_k = (math.log(math.pi / 2.0) + gammaln(2.0 * p + 1.0)
+             - p * math.log(2.0) - gammaln(p + 1.0))
+    out = np.zeros((2, 2, i.size))
+    out[[0, 1], [0, 1]] = np.exp(lth[:, i] + lth[:, j] + log_k) * ga
     return out
 
 
@@ -106,6 +136,7 @@ def _block_logdets(m: int, l_max: int, q: np.ndarray, r: float,
     -t drops, at most t^2 / (2 (1 - t)), are below ``budget`` (per
     frequency), the block is -t and M is never formed.  The batch is
     taken ``_Q_SLICE`` frequencies at a time, which bounds the transients.
+    The ladders hold the rows q > 0 only, as in :func:`_atilde_batch`.
     """
     l0 = max(1, m)
     n = l_max - l0 + 1
@@ -117,8 +148,10 @@ def _block_logdets(m: int, l_max: int, q: np.ndarray, r: float,
     out = np.empty(q.shape)
     for start in range(0, q.shape[0], _Q_SLICE):
         b = slice(start, start + _Q_SLICE)
-        half = _atilde_batch(m, l0, l_max, q[b], r, lt_m[b], lt_e[b],
-                             rad_log[b])
+        k = slice(np.count_nonzero(q[:start] > 0.0),
+                  np.count_nonzero(q[:start + _Q_SLICE] > 0.0))
+        half = _atilde_batch(m, l0, l_max, q[b], r, lt_m[k], lt_e[k],
+                             rad_log[k])
         t = np.einsum("qabk,qabk,k->q", half, half, weight)
         res = out[b]
         res[:] = -t
@@ -140,15 +173,16 @@ def logdet_batch(r: float, q: np.ndarray, l_max: int,
     """Sum over m (weights 1, 2, 2, ...) of block log-determinants.
 
     Evaluates a whole batch of adimensional frequencies ``q = kappa*d`` at
-    fixed ``l_max``.  The m-sum stops once two consecutive blocks
-    contribute less than ``m_rel_tol`` of the accumulated value for every
-    frequency.  Returns ``(g, m_max_used)``.
+    fixed ``l_max``; q = 0 is the static limit, and the Bessel and
+    T-matrix ladders run on the frequencies q > 0 only.  The m-sum stops
+    once two consecutive blocks contribute less than ``m_rel_tol`` of the
+    accumulated value for every frequency.  Returns ``(g, m_max_used)``.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any(q <= 0):
-        raise ValueError("kappa*d must be > 0")
-    lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
-    rad_log = translation._radial_ladder(q, l_max)
+    if not np.all(np.isfinite(q) & (q >= 0.0)):
+        raise ValueError("kappa*d must be finite and >= 0")
+    lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q[q > 0.0] * r)
+    rad_log = translation._radial_ladder(q[q > 0.0], l_max)
     acc = np.zeros(q.shape[0])
     quiet = 0
     for m in range(0, l_max + 1):
@@ -201,7 +235,10 @@ def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
     worst.  A below-tol change L -> 2L certifies L, so the *smaller* stage
     is returned: ``(l_max, g_at_probe, worst_change)``.  ``evaluate``
     replaces :func:`logdet_batch` (same signature), e.g. to count calls.
+    Every numeric route passes here: ValueError unless 0 < tol < 1.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
     evaluate = evaluate or logdet_batch
     l_max = l_start if l_start is not None else _start_l_max(r)
     m_tol = _M_SHARE * tol

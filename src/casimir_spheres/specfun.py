@@ -43,7 +43,7 @@ def log_scaled_iv_ladder_vec(l_max: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("arguments must be > 0")
-    l_start = l_max + 15 + int(math.ceil(min(float(x.max()), 1e4)))
+    l_start = l_max + 15 + math.ceil(min(float(x.max(initial=0.0)), 1e4))
     nq = x.shape[0]
     logf = np.empty((nq, l_start + 1))
     f_hi = np.zeros(nq)

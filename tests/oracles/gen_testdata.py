@@ -70,33 +70,45 @@ def gen_pfa():
     print(f"pfa_oracle.json: {len(cases)} cases")
 
 
+DETERMINANT_SPECS = [
+    {"r": 0.3, "q": 1.0, "l_max": 4, "m_values": None},
+    {"r": 0.45, "q": 1.0, "l_max": 5, "m_values": None},
+    {"r": 0.45, "q": 0.05, "l_max": 5, "m_values": None},
+    {"r": 0.1, "q": 3.0, "l_max": 4, "m_values": None},
+    {"r": 0.45, "q": 1.0, "l_max": 12, "m_values": [0]},
+    {"r": 0.45, "q": 1.0, "l_max": 12, "m_values": [3]},
+    {"r": 0.4, "q": 0.02, "l_max": 10, "m_values": [0]},
+    {"r": 0.4, "q": 8.0, "l_max": 10, "m_values": [1]},
+    # near-static with many multipoles, where the unscaled p-sum terms
+    # leave the float64 range; the unscaled N spans so many decades that
+    # its LU needs extra digits (the l_max 40 case gives -inf at 100)
+    {"r": 0.45, "q": 1e-3, "l_max": 32, "m_values": [10], "dps": 100},
+    {"r": 0.45, "q": 1e-3, "l_max": 32, "m_values": [20], "dps": 100},
+    {"r": 0.45, "q": 1e-2, "l_max": 40, "m_values": [1], "dps": 200},
+    # ||N||_F = 0.018, where a six-term trace series of log det(I - N)
+    # is off by 1.4e-12 relative; checked at its own tighter rtol
+    {"r": 0.41, "q": 3.0, "l_max": 16, "m_values": [0], "dps": 60,
+     "rtol": 1e-13},
+    # q = 0, the static limit, over the whole m-sum at the l_max of close-
+    # separation tables; at l_max 40 the LU loses every digit at 40 dps
+    # and agrees to 25 digits at 80 and 120
+    *({"r": r, "q": 0.0, "l_max": l_max, "m_values": None, "dps": dps,
+       "rtol": 1e-12}
+      for r in (0.4, 0.45, 0.48) for l_max, dps in ((20, 50), (40, 120))),
+]
+
+
+def determinant_case(spec: dict) -> dict:
+    with mp.workdps(spec.get("dps", mp.mp.dps)):
+        val = logdet_oracle(spec["r"], spec["q"], spec["l_max"],
+                            m_values=spec["m_values"])
+    return {**spec, "value": mp.nstr(val, 25)}
+
+
 def gen_determinant():
     cases = []
-    specs = [
-        {"r": 0.3, "q": 1.0, "l_max": 4, "m_values": None},
-        {"r": 0.45, "q": 1.0, "l_max": 5, "m_values": None},
-        {"r": 0.45, "q": 0.05, "l_max": 5, "m_values": None},
-        {"r": 0.1, "q": 3.0, "l_max": 4, "m_values": None},
-        {"r": 0.45, "q": 1.0, "l_max": 12, "m_values": [0]},
-        {"r": 0.45, "q": 1.0, "l_max": 12, "m_values": [3]},
-        {"r": 0.4, "q": 0.02, "l_max": 10, "m_values": [0]},
-        {"r": 0.4, "q": 8.0, "l_max": 10, "m_values": [1]},
-        # near-static with many multipoles, where the unscaled p-sum terms
-        # leave the float64 range; the unscaled N spans so many decades that
-        # its LU needs extra digits (the l_max 40 case gives -inf at 100)
-        {"r": 0.45, "q": 1e-3, "l_max": 32, "m_values": [10], "dps": 100},
-        {"r": 0.45, "q": 1e-3, "l_max": 32, "m_values": [20], "dps": 100},
-        {"r": 0.45, "q": 1e-2, "l_max": 40, "m_values": [1], "dps": 200},
-        # ||N||_F = 0.018, where a six-term trace series of log det(I - N)
-        # is off by 1.4e-12 relative; checked at its own tighter rtol
-        {"r": 0.41, "q": 3.0, "l_max": 16, "m_values": [0], "dps": 60,
-         "rtol": 1e-13},
-    ]
-    for spec in specs:
-        with mp.workdps(spec.get("dps", mp.mp.dps)):
-            val = logdet_oracle(spec["r"], spec["q"], spec["l_max"],
-                                m_values=spec["m_values"])
-        cases.append({**spec, "value": mp.nstr(val, 25)})
+    for spec in DETERMINANT_SPECS:
+        cases.append(determinant_case(spec))
         print("  det case done:", spec)
     payload = {"schema": SCHEMA, "digits": 25,
                "method": "direct unscaled assembly (mpmath + exact Wigner)",

@@ -132,6 +132,28 @@ def test_flag_beats_config_key_of_another_name(tmp_path):
     assert "# figure 2-left" in out
 
 
+def test_abbreviated_flag_is_an_error_not_lost_to_a_config_key(tmp_path):
+    """--to is no --tol: it exits 2, while the full flag still beats the
+    config file's tol."""
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol = 1e-3\n")
+    args = ["energy", "--r", "0.3", "--z", "1", "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--to", "1e-9"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(args + ["--tol", "1e-9", "--reproducible"])
+    assert code == 0
+    assert float(out.strip().splitlines()[-1].split(",")[-1]) == 1e-9
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "2"])
+def test_tol_outside_unit_interval_is_config_error(tol):
+    code, _, err = run_cli(["energy", "--r", "0.1", "--z", "1",
+                            f"--tol={tol}"])
+    assert code == 2
+    assert err.startswith("error:config:")
+
+
 def test_jobs_flag_and_key_exit_2(tmp_path):
     """There is no --jobs flag or jobs key: both exit 2 like any unknown one."""
     args = ["energy", "--r", "0.01", "--z", "1"]

@@ -72,14 +72,22 @@ def test_static_term_properties():
 
 
 def test_static_term_node_ladder_consistency():
-    """Extrapolations from two different node ladders agree tightly."""
-    geo = Geometry.from_ratio(0.45)
-    a = mats.static_term(geo, tol=1e-7)
-    l_max, _, _ = mats._converged_l_max(0.45, np.array(mats._STATIC_NODES),
-                                        1e-7)
+    """The q = 0 route meets the q > 0 route: the Lagrange extrapolation
+    (g_0 - 6 g_1 + 8 g_2) / 3 through q = (h, h/2, h/4), h = 1e-4, at the
+    static term's l_max, agrees with the closed-form static term."""
+    tol = 1e-7
+    a = mats.static_term(Geometry.from_ratio(0.45), tol=tol)
+    l_max, _, _ = mats._converged_l_max(0.45, np.array([0.0]), tol)
     g, _ = roundtrip.logdet_batch(0.45, np.array([1e-4, 5e-5, 2.5e-5]),
-                                  l_max, m_rel_tol=0.05 * 1e-7)
-    assert a == pytest.approx(mats._static_limit(g), rel=1e-6)
+                                  l_max, m_rel_tol=0.05 * tol)
+    assert a == pytest.approx((g[0] - 6.0 * g[1] + 8.0 * g[2]) / 3.0,
+                              rel=1e-9)
+
+
+def test_tol_outside_unit_interval_raises():
+    geo = Geometry.from_ratio(0.1)
+    with pytest.raises(ValueError, match="tol"):
+        mats.free_energy(geo, ThermalPoint.from_z(1.0, geo), tol=0)
 
 
 def test_high_temperature_only_static_survives():
@@ -169,10 +177,12 @@ def test_table_evaluates_each_frequency_once_and_slopes_on_first_use(
     assert tab.l_max_used == 16
     nodes = tab._q.size
     # the table's own calls: grid, then one per refinement round; g0 comes
-    # from the ladder's values at the static nodes
+    # from the ladder's values at q = 0
     table_calls = [q for phase, q in rec.calls if phase == "table"]
     assert len(table_calls) >= 2
-    assert not np.isin(mats._STATIC_NODES[1:], np.concatenate(table_calls)).any()
+    ladder_calls = [q for phase, q in rec.calls if phase == "ladder"]
+    assert 0.0 in np.concatenate(ladder_calls)
+    assert 0.0 not in np.concatenate(table_calls)
     mids = np.concatenate(table_calls[1:])
     assert np.unique(mids).size == mids.size
     assert not np.isin(mids, table_calls[0]).any()

@@ -129,7 +129,8 @@ def test_nonconvergence_error_on_tiny_ceiling():
 
 
 def test_against_independent_determinant_oracle(testdata):
-    """Direct unscaled mpmath/sympy assembly at fixed l_max (golden values).
+    """Direct unscaled mpmath/sympy assembly at fixed l_max (golden values);
+    the q = 0 cases check the closed-form static limit over the whole m-sum.
 
     A case may carry its own ``rtol``; the default is 2e-10.  The check is
     relative only: some cases lie far below pytest's default absolute
@@ -153,14 +154,31 @@ def test_against_independent_determinant_oracle(testdata):
                                     rel=case.get("rtol", 2e-10), abs=0.0)
 
 
+@pytest.mark.parametrize("q", [-1e-3, math.nan, math.inf])
+def test_logdet_batch_rejects_frequencies_outside_the_domain(q):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        rt.logdet_batch(0.3, np.array([0.5, q]), 8)
+
+
+def test_static_rows_anywhere_in_a_sliced_batch(monkeypatch):
+    """q = 0 rows may sit anywhere in a batch taken in slices, whose
+    ladders hold the q > 0 rows only: every frequency gets its value from
+    a batch of one."""
+    monkeypatch.setattr(rt, "_Q_SLICE", 3)
+    q = np.array([0.0, 0.5, 0.0, 2.0, 1.0, 0.0, 0.0, 3.0])
+    g, _ = rt.logdet_batch(0.3, q, 8, m_rel_tol=0.0)
+    alone = [rt.logdet_batch(0.3, [x], 8, m_rel_tol=0.0)[0][0] for x in q]
+    assert g == pytest.approx(alone, rel=1e-13, abs=0.0)
+
+
 def test_spectral_radius_guard_on_physical_inputs():
     # deep in the allowed regime the determinant is always in (0, 1)
     g, _ = rt.logdet_batch(0.49, np.array([0.2]), 30)
     assert g[0] < 0.0
 
 
-def test_static_limit_approaches_proximity_scale():
-    """The static (kappa -> 0) determinant must grow toward the
+def test_static_determinant_approaches_proximity_scale():
+    """The static (kappa = 0) determinant must grow toward the
     proximity-force classical value -zeta(3) r/(4 (1-2r)) as the spheres
     approach; the ratio rises monotonically and reaches ~0.38 at r = 0.45.
 
@@ -171,7 +189,7 @@ def test_static_limit_approaches_proximity_scale():
     zeta3 = 1.2020569031595942854
     ratios = []
     for r, l_max in ((0.3, 30), (0.4, 40), (0.45, 60)):
-        g, _ = rt.logdet_batch(r, np.array([1e-3]), l_max)
+        g, _ = rt.logdet_batch(r, np.array([0.0]), l_max)
         pfa = -zeta3 * r / (4.0 * (1.0 - 2.0 * r))
         ratios.append(g[0] / pfa)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
