@@ -1,8 +1,9 @@
 """Command-line front end: single points, sweeps, figure data, validation.
 
 All output is deterministic for a fixed configuration (fixed summation
-orders, no randomness); the only time-dependent content is an optional
-timestamp comment, disabled by ``--reproducible``.
+orders; the one random block, the range finder's probe in the block
+log-det, has a fixed seed); the only time-dependent content is an
+optional timestamp comment, disabled by ``--reproducible``.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 non-convergence or failure (``numpy.linalg.LinAlgError`` included).  Errors
@@ -313,6 +314,10 @@ def main(argv: list[str] | None = None) -> int:
             ok = validation.run_all(slow=args.slow)
             return 0 if ok else 2
         args = _merge_config(parser, args, argv)
+        # every mode but validate: checked here, whichever branch runs
+        if not 0.0 < args.tol < 1.0:
+            raise ValueError(
+                f"tol must be finite with 0 < tol < 1, got {args.tol!r}")
         if args.mode == "figure":
             rows, notes = _figure_rows(args.fig_id, args)
             _emit(rows, args, notes=notes)

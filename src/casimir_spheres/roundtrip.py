@@ -25,10 +25,19 @@ batch of frequencies, for every kappa and l_max alike.  Only l <= l' is
 summed: by A~[l', l] = (-1)^{l+l'} A~[l, l'], the one-way operator
 M = e^{-kappa ell} sigma A~ D is symmetric and N is similar to M^2.  At
 kappa = 0, A~ is its closed-form limit (docs/derivations.md, section 8).
+
+A block is log det(I - M^2), settled by one rule with one budget test
+(docs/derivations.md, section 9): an estimate from k Ritz pairs of M and
+a computable bound on what it misses.  At k = 0 the estimate is
+-tr N = -||M||_F^2, read off the packed half without forming M; a block
+whose bound exceeds its budget forms M and tries k = 8, 16, ... Ritz
+pairs from a fixed seeded probe block; ``eigvalsh(M)`` takes what no k
+certifies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,6 +55,8 @@ L_CEILING_DEFAULT = 200
 _Q_SLICE = 128
 # share of an l_max tolerance that the m-sum of every ladder stage may drop
 _M_SHARE = 0.05
+# Ritz pairs of the first deflated try of an exact block, doubled per retry
+_K_START = 8
 
 
 def _atilde_batch(m: int, l0: int, l_max: int, q: np.ndarray, r: float,
@@ -126,17 +137,115 @@ def _one_way(half: np.ndarray, l0: int, l_max: int) -> np.ndarray:
     return one_way
 
 
+@functools.lru_cache(maxsize=None)
+def _probe(dim: int, k: int) -> np.ndarray:
+    """The Gaussian block Omega (dim, k) of the range finder, seeded, so
+    that every run takes the same Ritz pairs."""
+    omega = np.random.default_rng(dim).standard_normal((dim, k))
+    omega.flags.writeable = False
+    return omega
+
+
+def _deflated(t: np.ndarray, k: int = 0,
+              one_way: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate and bound of log det(I - M^2) from k Ritz pairs of M.
+
+    ``t`` is ||M||_F^2 per matrix of the stack ``one_way`` (nq, dim, dim).
+    The Ritz pairs (theta, Q) come from the range of M Omega for the fixed
+    block Omega of :func:`_probe`; the Schur complements of I -+ M on them
+    give the second-order part of the rest exactly from t, theta,
+    G = R^T R and diag(R^T M R), R = MQ - Q diag(theta), and bound the
+    remainder (docs/derivations.md, section 9).  At k = 0, M is not
+    needed: the estimate is -t and the bound t^2 / (2 (1 - t)).  The
+    bound is inf where rho(M) < 1 is not certified.
+    """
+    if k == 0:
+        # no Ritz pairs: S-+ = M, s^2 = F^2 = t, and the odd orders and the
+        # rounding allowance below vanish
+        with np.errstate(divide="ignore"):
+            return -t, np.where(t < 1.0, 0.5 * t * t / (1.0 - t), np.inf)
+    nq, dim = one_way.shape[:2]
+    y = (one_way.reshape(-1, dim) @ _probe(dim, k)).reshape(nq, dim, k)
+    basis = np.linalg.qr(y)[0]
+    m_basis = one_way @ basis
+    theta, v = np.linalg.eigh(np.swapaxes(basis, 1, 2) @ m_basis)
+    res = m_basis @ v - (basis @ v) * theta[:, None, :]
+    g = np.swapaxes(res, 1, 2) @ res
+    h = np.einsum("qik,qik->qk", res, one_way @ res)
+    rho = np.max(np.abs(theta), axis=1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = 1.0 / (1.0 - theta), 1.0 / (1.0 + theta)
+        g_diag = np.einsum("qjj->qj", g)
+        g2 = g * g
+        # ||D||_F^2 of the complement; the terms that cancel in it are
+        # dot products of length dim, each within dim eps of its size
+        cancel = np.sum(theta * theta, axis=1) + 2.0 * np.sum(g_diag, axis=1)
+        d2 = np.maximum(t - cancel, 0.0)
+        rounding = dim * np.finfo(float).eps * cancel
+        # ||S-||_F^2 and ||S+||_F^2, S-+ = D +- C (I -+ B)^{-1} C^T
+        tr_minus = (d2 + 2.0 * np.sum(h * a, axis=1)
+                    + np.einsum("qj,qjl,ql->q", a, g2, a))
+        tr_plus = (d2 - 2.0 * np.sum(h * b, axis=1)
+                   + np.einsum("qj,qjl,ql->q", b, g2, b))
+        est = (np.sum(np.log1p(-theta * theta), axis=1)
+               - np.sum(g_diag * (a + b), axis=1)
+               - 0.5 * (tr_minus + tr_plus))
+        # s >= ||S-+||_2
+        f2 = np.maximum(tr_minus, tr_plus)
+        d_norm2 = d2 + rounding
+        g_norm = np.sqrt(np.sum(g2, axis=(1, 2))) / (1.0 - rho)
+        s2 = d_norm2 + g_norm * (2.0 * np.sqrt(d_norm2) + g_norm)
+        # ||S- - S+||_F, S- - S+ = C diag(a + b) C^T
+        spread = np.sqrt(np.einsum("qj,qjl,ql->q", a + b, g2, a + b))
+        bound = ((0.5 * f2 * s2 + spread * np.sqrt(f2 * s2)) / (1.0 - s2)
+                 + rounding)
+    return est, np.where((rho < 1.0) & (s2 < 1.0), bound, np.inf)
+
+
+def _certified_logdets(one_way: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """log det(I - M^2) for a stack of symmetric M, each within ``budget``.
+
+    :func:`_deflated` runs at k = ``_K_START``, 2k, ... while 3k <= dim on
+    the matrices whose bound is not yet below their budget; the rest take
+    sum log1p(-mu^2) over ``eigvalsh(M)``, NaN where max |mu| >= 1.
+    """
+    dim = one_way.shape[-1]
+    flat = one_way.reshape(-1, dim * dim)
+    t = np.vecdot(flat, flat)
+    out = np.empty(t.shape)
+    todo = np.arange(t.shape[0])
+    k = _K_START
+    while todo.size and 3 * k <= dim:
+        est, bound = _deflated(t[todo], k, one_way)
+        done = bound < budget[todo]
+        out[todo[done]] = est[done]
+        todo, one_way = todo[~done], one_way[~done]
+        k *= 2
+    if todo.size:
+        mu = np.linalg.eigvalsh(one_way)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[todo] = np.sum(np.log1p(-mu * mu), axis=1)
+        out[todo[np.max(np.abs(mu), axis=1) >= 1.0]] = np.nan
+    return out
+
+
 def _block_logdets(m: int, l_max: int, q: np.ndarray, r: float,
                    lt_m: np.ndarray, lt_e: np.ndarray, rad_log: np.ndarray,
-                   budget: float | np.ndarray = 0.0) -> np.ndarray:
+                   share: float = 0.0,
+                   scale: float | np.ndarray = 0.0) -> np.ndarray:
     """log det(I - N_m) for one m over a batch of adimensional frequencies.
 
-    log det(I - N) = sum log1p(-mu^2) over the eigenvalues mu of M, and
-    t = tr N = ||M||_F^2 comes from the packed half.  Where the terms that
-    -t drops, at most t^2 / (2 (1 - t)), are below ``budget`` (per
-    frequency), the block is -t and M is never formed.  The batch is
-    taken ``_Q_SLICE`` frequencies at a time, which bounds the transients.
-    The ladders hold the rows q > 0 only, as in :func:`_atilde_batch`.
+    log det(I - N) = log det(I - M^2), and t = tr N = ||M||_F^2 comes from
+    the packed half.  Each block may drop ``share * max(scale, t)`` (per
+    frequency); the default 0 makes every block exact.  One rule,
+    :func:`_deflated`, serves every block: at k = 0 the block is -t and M
+    is never formed; the blocks whose bound is above the budget form M and
+    go through :func:`_certified_logdets` (at m = 0, its two halves with
+    half the budget each), whose ``eigvalsh`` fallback raises
+    :class:`SpectralRadiusError` at rho(M) >= 1.  The batch is taken
+    ``_Q_SLICE`` frequencies at a time, which bounds the transients.  The
+    ladders hold the rows q > 0 only, as in :func:`_atilde_batch`.
     """
     l0 = max(1, m)
     n = l_max - l0 + 1
@@ -144,7 +253,7 @@ def _block_logdets(m: int, l_max: int, q: np.ndarray, r: float,
     weight = np.where(i == j, 1.0, 2.0)
     # at m = 0 the mixing blocks vanish: two spectra of half the size
     cuts = (slice(0, n), slice(n, None)) if m == 0 else (slice(None),)
-    budget = np.broadcast_to(budget, q.shape)
+    scale = np.broadcast_to(scale, q.shape)
     out = np.empty(q.shape)
     for start in range(0, q.shape[0], _Q_SLICE):
         b = slice(start, start + _Q_SLICE)
@@ -153,18 +262,20 @@ def _block_logdets(m: int, l_max: int, q: np.ndarray, r: float,
         half = _atilde_batch(m, l0, l_max, q[b], r, lt_m[k], lt_e[k],
                              rad_log[k])
         t = np.einsum("qabk,qabk,k->q", half, half, weight)
-        res = out[b]
-        res[:] = -t
-        exact = ~(0.5 * t * t < budget[b] * (1.0 - t))
+        budget = share * np.maximum(scale[b], t)
+        res, bound = _deflated(t)
+        out[b] = res
+        exact = ~(bound < budget)
         if np.any(exact):
             one_way = _one_way(half[exact], l0, l_max)
-            mu = np.concatenate([np.linalg.eigvalsh(one_way[:, c, c])
-                                 for c in cuts], axis=1)
-            bad = q[b][exact][np.max(np.abs(mu), axis=1) >= 1.0]
+            res = sum(_certified_logdets(
+                np.ascontiguousarray(one_way[:, c, c]),
+                budget[exact] / len(cuts)) for c in cuts)
+            bad = q[b][exact][np.isnan(res)]
             if bad.size:
                 raise SpectralRadiusError(
                     f"rho(N) >= 1 in m={m} block at kappa*d={bad[:3]}")
-            res[exact] = np.sum(np.log1p(-mu * mu), axis=1)
+            out[b][exact] = res
     return out
 
 
@@ -176,7 +287,9 @@ def logdet_batch(r: float, q: np.ndarray, l_max: int,
     fixed ``l_max``; q = 0 is the static limit, and the Bessel and
     T-matrix ladders run on the frequencies q > 0 only.  The m-sum stops
     once two consecutive blocks contribute less than ``m_rel_tol`` of the
-    accumulated value for every frequency.  Returns ``(g, m_max_used)``.
+    accumulated value for every frequency; each block may drop
+    1e-2 ``m_rel_tol`` of |g| (docs/derivations.md, sections 1 and 9).
+    Returns ``(g, m_max_used)``.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if not np.all(np.isfinite(q) & (q >= 0.0)):
@@ -187,9 +300,11 @@ def logdet_batch(r: float, q: np.ndarray, l_max: int,
     quiet = 0
     for m in range(0, l_max + 1):
         w = 1.0 if m == 0 else 2.0
-        # a block may drop 1e-2 m_rel_tol of the sum so far: none at m = 0
+        # a block may drop 1e-2 m_rel_tol of the larger of the sum so far
+        # and its own trace; every block is <= 0, so both are below |g|
         contrib = w * _block_logdets(m, l_max, q, r, lt_m, lt_e, rad_log,
-                                     budget=1e-2 * m_rel_tol * np.abs(acc) / w)
+                                     share=1e-2 * m_rel_tol,
+                                     scale=np.abs(acc) / w)
         acc += contrib
         m_used = m
         scale = np.maximum(np.abs(acc), 1e-300)

@@ -62,17 +62,22 @@ def test_missing_thermal_input():
 
 def test_linalg_error_is_numerical_exit_code(monkeypatch):
     """numpy's LinAlgError derives from ValueError, yet it is a numerical
-    failure (exit 3), not a configuration one (exit 2)."""
+    failure (exit 3), not a configuration one (exit 2): from the eigvalsh
+    fallback of the small blocks and from the QR and Ritz eigensolver of
+    the deflated block log-det alike.  Each run fails only if the routine
+    is reached."""
     import numpy as np
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    code, _, err = run_cli(["energy", "--r", "0.2", "--z", "1",
-                            "--branch", "numeric", "--reproducible"])
-    assert code == 3
-    assert err.startswith("error:numerical:")
-    assert "did not converge" in err
+    for routine in ("eigvalsh", "qr", "eigh"):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, routine, fail)
+            code, _, err = run_cli(["energy", "--r", "0.2", "--z", "1",
+                                    "--branch", "numeric", "--reproducible"])
+        assert code == 3, routine
+        assert err.startswith("error:numerical:")
+        assert "did not converge" in err
 
 
 def test_overflow_error_is_numerical_exit_code(monkeypatch):
@@ -150,6 +155,29 @@ def test_abbreviated_flag_is_an_error_not_lost_to_a_config_key(tmp_path):
 def test_tol_outside_unit_interval_is_config_error(tol):
     code, _, err = run_cli(["energy", "--r", "0.1", "--z", "1",
                             f"--tol={tol}"])
+    assert code == 2
+    assert err.startswith("error:config:")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "1", "2"])
+@pytest.mark.parametrize("args", [
+    ["energy", "--r", "0.01", "--z", "1", "--branch", "asymptotic"],
+    ["sweep", "--r", "0.49", "--z", "0.5:2:lin3", "--branch", "pfa"],
+    ["figure", "--id", "1-left"],
+], ids=["asymptotic", "pfa", "figure"])
+def test_tol_checked_where_the_closed_forms_never_read_it(args, tol):
+    """tol is checked on every branch, not only on the numeric one."""
+    code, _, err = run_cli(args + [f"--tol={tol}"])
+    assert code == 2
+    assert err.startswith("error:config:")
+    assert "0 < tol < 1" in err
+
+
+def test_tol_from_config_checked_on_closed_form_branch(tmp_path):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol = 0\n")
+    code, _, err = run_cli(["energy", "--r", "0.01", "--z", "1",
+                            "--config", str(cfg)])
     assert code == 2
     assert err.startswith("error:config:")
 

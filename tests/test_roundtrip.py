@@ -5,7 +5,7 @@ import pytest
 
 from casimir_spheres import roundtrip as rt
 from casimir_spheres import scattering, translation
-from casimir_spheres.errors import NonConvergenceError
+from casimir_spheres.errors import NonConvergenceError, SpectralRadiusError
 from casimir_spheres.geometry import Geometry
 
 
@@ -309,3 +309,99 @@ def test_logdet_batch_served_from_a_larger_build_equals_cold_run(monkeypatch):
     assert store.cache_info().misses == misses
     assert m_warm == m_cold
     assert np.array_equal(warm, cold)
+
+
+def _prescribed(dim, mu, rng):
+    """Symmetric matrix with the spectrum ``mu`` in a random basis."""
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    m = (basis * mu) @ basis.T
+    return 0.5 * (m + m.T)
+
+
+@pytest.mark.parametrize("dim", [8, 24, 48, 96, 150, 230])
+def test_deflated_bound_holds_on_prescribed_spectra(dim):
+    """The deflated estimate is within its bound of sum log1p(-mu^2) over
+    eigvalsh, at every k the rule tries: geometric decay as at r = 0.41, a
+    clustered top, and the slow decay (0.85 per index) of r = 0.45."""
+    rng = np.random.default_rng(dim)
+    i = np.arange(dim)
+    spectra = {"geometric": 0.23 * 0.5**i,
+               "clustered": np.where(i < 4, 0.2 - 1e-3 * i, 0.05 * 0.6**i),
+               "slow": 0.45 * 0.85**i}
+    for name, mu in spectra.items():
+        stack = np.stack([_prescribed(dim, mu * rng.choice([-1.0, 1.0], dim),
+                                      rng) for _ in range(4)])
+        exact = np.sum(np.log1p(-np.linalg.eigvalsh(stack) ** 2), axis=1)
+        flat = stack.reshape(4, -1)
+        t = np.vecdot(flat, flat)
+        for k in (0, 8, 16, 32, 64):
+            if k and 3 * k > dim:
+                break
+            est, bound = rt._deflated(t, k, stack)
+            certified = np.isfinite(bound)
+            assert np.all(np.abs(est - exact)[certified]
+                          <= bound[certified]), (name, k)
+        # the deepest try the rule makes pins the fast decay of r = 0.41
+        if name == "geometric" and dim >= 48:
+            assert np.all(bound < 1e-13 * np.abs(exact))
+
+
+def test_deflated_rule_at_k0_is_the_trace_test():
+    t = np.array([0.0, 1e-9, 0.013, 0.2, 0.7])
+    est, bound = rt._deflated(t)
+    assert np.array_equal(est, -t)
+    assert np.array_equal(bound, t * t / (2.0 * (1.0 - t)))
+    assert np.all(np.isinf(rt._deflated(np.array([1.0, 1.5]))[1]))
+
+
+@pytest.mark.parametrize("dim", [24, 48, 96])
+def test_eigenvalue_above_one_is_never_certified(dim):
+    rng = np.random.default_rng(7)
+    mu = 0.1 * 0.5 ** np.arange(dim)
+    mu[dim // 2] = 1.01
+    stack = np.stack([_prescribed(dim, mu, rng) for _ in range(4)])
+    flat = stack.reshape(4, -1)
+    t = np.vecdot(flat, flat)
+    for k in (0, 8, 16, 32):
+        if k and 3 * k > dim:
+            break
+        assert np.all(np.isinf(rt._deflated(t, k, stack)[1])), k
+
+
+@pytest.mark.parametrize("share", [0.0, 1e-12])
+def test_block_logdets_raises_spectral_radius_error(share):
+    """Ladders shifted up by log 8 scale M by 8, so rho(M) > 1 at small q:
+    neither the trace test nor the deflated rule certifies the block, and
+    the eigvalsh fallback raises (r = 0.41, l_max 48, m = 1, dim 96)."""
+    r, l_max = 0.41, 48
+    q = np.array([1e-3, 0.3, 30.0])
+    lt_m, lt_e = scattering.t_scaled_log_vec(l_max, q * r)
+    rad = translation._radial_ladder(q, l_max)
+    rt._block_logdets(1, l_max, q, r, lt_m, lt_e, rad, share=share)
+    shift = math.log(8.0)
+    with pytest.raises(SpectralRadiusError, match="m=1 block"):
+        rt._block_logdets(1, l_max, q, r, lt_m + shift, lt_e + shift, rad,
+                          share=share)
+
+
+def test_table_grid_needs_no_eigvalsh_and_is_reproducible(monkeypatch):
+    """On every tenth frequency of the r = 0.41, l_max 48 table grid (and
+    q = 0) every exact block is certified by the deflated rule, and two
+    runs agree bit for bit."""
+    r, l_max, m_tol = 0.41, 48, 5e-11
+    q_max = 42.0 / (2.0 * (1.0 - 2.0 * r))
+    grid = np.unique(np.concatenate([
+        [0.0], np.geomspace(1e-3, 1.0, 80, endpoint=False),
+        np.linspace(1.0, q_max, 360)]))[::10]
+    fallbacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        fallbacks.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    g, m_max = rt.logdet_batch(r, grid, l_max, m_rel_tol=m_tol)
+    assert fallbacks == []
+    again, m_again = rt.logdet_batch(r, grid, l_max, m_rel_tol=m_tol)
+    assert m_again == m_max
+    assert np.array_equal(again, g)
