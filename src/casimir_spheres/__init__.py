@@ -17,8 +17,7 @@ from .errors import (BracketingFailureError, CasimirError,
                      GridTooCoarseError, NonConvergenceError,
                      SpectralRadiusError, StepUnderflowError)
 from .scattering import dipole_tmatrix
-from .translation import (DipoleCouplings, TranslationBlock,
-                          dipole_translation_limit, translation_block)
+from .translation import DipoleCouplings, dipole_translation_limit
 from .roundtrip import dipole_trace
 from .matsubara import (DeterminantTable, FreeEnergyResult, free_energy,
                         free_energy_ad, static_term, zero_T_energy,
@@ -38,8 +37,7 @@ __all__ = [
     "CasimirError", "NonConvergenceError", "SpectralRadiusError",
     "BracketingFailureError", "GridTooCoarseError", "StepUnderflowError",
     "dipole_tmatrix",
-    "TranslationBlock", "DipoleCouplings", "translation_block",
-    "dipole_translation_limit",
+    "DipoleCouplings", "dipole_translation_limit",
     "dipole_trace",
     "FreeEnergyResult", "DeterminantTable", "free_energy", "zero_T_energy",
     "static_term", "free_energy_ad", "zero_T_energy_ad",

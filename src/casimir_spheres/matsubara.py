@@ -354,11 +354,3 @@ class DeterminantTable:
         s = 0.5 * self.g0 + float(np.sum(self.g_of_q(q)))
         sp = float(np.sum(q * self.gprime_of_q(q)))
         return -(s + sp) / self.r**6
-
-    def e_ad_zero_T(self) -> float:
-        """Adimensional zero-temperature energy from the tabulated integrand."""
-        qd = np.linspace(self._q[0], self._q[-1], 20001)
-        gi = -np.exp(self._spl(qd))
-        core = float(np.trapezoid(gi, qd))
-        head = 0.5 * (self.g0 - math.exp(self._spl(self._q[0]))) * self._q[0]
-        return (core + head) / self.r**6

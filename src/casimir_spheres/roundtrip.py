@@ -347,7 +347,9 @@ def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
     From ``l_start`` (default :func:`_start_l_max`) l_max doubles until
     every probe changes by less than ``tol`` relative to |g| floored at
     1e-2 of the largest probe, and :func:`_confirm` agrees on the three
-    worst.  A below-tol change L -> 2L certifies L, so the *smaller* stage
+    probes of largest q, where the relative truncation error is largest
+    (at convergence the changes themselves are rounding noise).  A
+    below-tol change L -> 2L certifies L, so the *smaller* stage
     is returned: ``(l_max, g_at_probe, worst_change)``.  ``evaluate``
     replaces :func:`logdet_batch` (same signature), e.g. to count calls.
     Every numeric route passes here: ValueError unless 0 < tol < 1.
@@ -376,10 +378,10 @@ def _converged_l_max(r: float, q_probe: np.ndarray, tol: float,
         rel = np.abs(g_next - g_prev) / scale
         change = float(np.max(rel))
         if change < tol:
-            # confirm on the worst three probes, with the full set's scale
-            worst = np.argsort(rel)[-3:]
-            conf, _ = _confirm(r, q_probe[worst], g_next[worst], l_next, tol,
-                               l_ceiling, scale[worst], evaluate)
+            # confirm on the three largest q, with the full set's scale
+            top = np.argsort(q_probe, kind="stable")[-3:]
+            conf, _ = _confirm(r, q_probe[top], g_next[top], l_next, tol,
+                               l_ceiling, scale[top], evaluate)
             if conf < tol:
                 return l_max, g_prev, max(change, conf)
         g_prev, l_max = g_next, l_next

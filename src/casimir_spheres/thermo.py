@@ -30,6 +30,9 @@ __all__ = ["ThermoCurve", "EntropyFeatureReport", "DerivativeEstimate",
            "find_disappearance_threshold", "closed_form_curve",
            "build_thermo_curve"]
 
+# relative step of the central difference in r behind the numeric force
+_DELTA_R = 1e-3
+
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
@@ -326,14 +329,13 @@ def closed_form_curve(geometry: Geometry, z: np.ndarray, branch: str
 
 
 def build_thermo_curve(r: float, z_grid: np.ndarray, branch: str = "numeric",
-                       tol: float = 1e-9, with_force: bool = True,
-                       delta_r: float = 1e-3,
+                       tol: float = 1e-9,
                        table_kwargs: dict | None = None) -> ThermoCurve:
     """Sampled thermodynamic curve at fixed aspect ratio.
 
     On the numeric branch the force requires the aspect-ratio derivative of
     the energy, obtained from two auxiliary determinant tables at
-    r (1 +- delta_r):  F_ad = 7 E_ad + z S_ad + r dE_ad/dr.
+    r (1 +- 1e-3):  F_ad = 7 E_ad + z S_ad + r dE_ad/dr.
     ``table_kwargs`` tune the underlying determinant tables (grid sizes,
     refinement depth) for quick sign-level scans.
     """
@@ -350,16 +352,13 @@ def build_thermo_curve(r: float, z_grid: np.ndarray, branch: str = "numeric",
         policy["l_max"] = tab.l_max_used
         e = np.array([tab.e_ad(z) for z in z_grid])
         s = np.array([tab.s_ad(z) for z in z_grid])
-        if with_force:
-            tab_lo = DeterminantTable(r * (1.0 - delta_r), tol=tol, **kw)
-            tab_hi = DeterminantTable(r * (1.0 + delta_r), tol=tol, **kw)
-            policy["delta_r"] = delta_r
-            dedr = np.array([
-                (tab_hi.e_ad(z) - tab_lo.e_ad(z)) / (2.0 * delta_r * r)
-                for z in z_grid])
-            f = 7.0 * e + z_grid * s + r * dedr
-        else:
-            f = np.full_like(e, np.nan)
+        tab_lo = DeterminantTable(r * (1.0 - _DELTA_R), tol=tol, **kw)
+        tab_hi = DeterminantTable(r * (1.0 + _DELTA_R), tol=tol, **kw)
+        policy["delta_r"] = _DELTA_R
+        dedr = np.array([
+            (tab_hi.e_ad(z) - tab_lo.e_ad(z)) / (2.0 * _DELTA_R * r)
+            for z in z_grid])
+        f = 7.0 * e + z_grid * s + r * dedr
     else:
         raise ValueError("branch must be 'numeric', 'asymptotic' or 'pfa'")
     return ThermoCurve(r=r, z=z_grid, e_ad=e, s_ad=s, f_ad=f, method=branch,

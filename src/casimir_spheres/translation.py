@@ -17,7 +17,8 @@ m-block the couplings between normalized vector multipoles (l, P) and
         \begin{pmatrix} l & l' & p-1 \\ 0 & 0 & 0\end{pmatrix} k_p(x),
 
 with ``Lambda = l(l+1) + l'(l'+1)``, ``Sigma = l+l'+1``, ``Delta = l-l'``
-and ``pref = -(-1)^m \sqrt{(2l+1)(2l'+1) / (l(l+1) l'(l'+1))} / pi``.
+and ``pref = -(-1)^m (-1)^{l'+1} \sqrt{(2l+1)(2l'+1) / (l(l+1) l'(l'+1))}
+/ pi``.
 
 The polarization-preserving coupling is identical for M->M and E->E, the
 polarization-mixing coupling identical for M->E and E->M; for -m the mixing
@@ -61,8 +62,6 @@ from scipy.special import gammaln
 from . import specfun
 
 __all__ = [
-    "TranslationBlock",
-    "translation_block",
     "dipole_translation_limit",
     "DipoleCouplings",
     "coupling_tensors",
@@ -224,25 +223,6 @@ class PackedCouplings:
             n_a = self.l0 + 1 + s // 2           # (P + 1) // 2
             yield rows[:, :n_a], rows[:, n_a:]
 
-    def expand(self) -> tuple[np.ndarray, np.ndarray]:
-        """(GA, GB) of shape (n, n, p_len), p_len = 2 l_max + 2, both
-        halves filled by U[l', l] = (-1)^{l+l'} U[l, l'] (inspection and
-        tests; the assembly reads the packed blocks)."""
-        n = self.n
-        ga = np.zeros((n, n, 2 * self.l_max + 2))
-        gb = np.zeros_like(ga)
-        i, j, off = antidiagonal_pairs(n)
-        for s, (a, b) in enumerate(self.diagonals()):
-            k = slice(off[s], off[s + 1])
-            big_p = 2 * self.l0 + 1 + s
-            ga[i[k], j[k], big_p - 1::-2] = a
-            if self.m:
-                gb[i[k], j[k], big_p::-2] = b
-        sign = np.where((i + j) % 2 == 0, 1.0, -1.0)[:, None]
-        ga[j, i] = sign * ga[i, j]
-        gb[j, i] = sign * gb[i, j]
-        return ga, gb
-
 
 def coupling_tensors(m: int, l0: int, l_max: int) -> PackedCouplings:
     """Per-m coupling tensors, packed: see :class:`PackedCouplings`.
@@ -251,10 +231,10 @@ def coupling_tensors(m: int, l0: int, l_max: int) -> PackedCouplings:
     polarization-preserving block of the translation matrix is
     ``sum_p GA[i,j,p] k_p(x)`` and the mixing block ``sum_p GB[i,j,p] k_p(x)``;
     the channel prefactor is folded in.  Only the pairs l <= l' are held;
-    the others follow from ``U[l', l] = (-1)^{l+l'} U[l, l']``
-    (:meth:`PackedCouplings.expand`).  Served from the store of
-    ``_coupling_tensors_cached``: the tensors are frequency independent,
-    and those at l_max are the leading pairs of those at any larger l_max.
+    the others follow from ``U[l', l] = (-1)^{l+l'} U[l, l']``.  Served
+    from the store of ``_coupling_tensors_cached``: the tensors are
+    frequency independent, and those at l_max are the leading pairs of
+    those at any larger l_max.
     """
     if m < 0:
         raise ValueError("m must be >= 0 (negative m by symmetry)")
@@ -389,35 +369,6 @@ def parity_signs(l0: int, l_max: int) -> np.ndarray:
     return np.concatenate([d_m, d_e])
 
 
-@dataclass(frozen=True)
-class TranslationBlock:
-    """Scaled translation matrix for one azimuthal block.
-
-    ``entries`` is the dense matrix over channels (P, l) with P in (M, E)
-    and l = l0..l_max, scaled by exp(-kappa_d): the physical matrix is
-    ``entries * exp(scaling_exponent)`` with ``scaling_exponent = -kappa_d``.
-    """
-
-    m: int
-    kappa_d: float
-    l_max: int
-    l_min: int
-    entries: np.ndarray
-    scaling_exponent: float
-
-    @property
-    def n_l(self) -> int:
-        return self.l_max - self.l_min + 1
-
-    def reversed(self) -> "TranslationBlock":
-        """The block for the opposite translation direction, D U D."""
-        d = parity_signs(self.l_min, self.l_max)
-        return TranslationBlock(
-            m=self.m, kappa_d=self.kappa_d, l_max=self.l_max, l_min=self.l_min,
-            entries=d[:, None] * self.entries * d[None, :],
-            scaling_exponent=self.scaling_exponent)
-
-
 def _radial_ladder(q: np.ndarray, l_max: int) -> np.ndarray:
     """log(k_p(q) e^q) for p = 0..2 l_max + 1, shape (nq, 2 l_max + 2):
     the radial factors of every m-block's p-sums, one ladder per batch."""
@@ -436,6 +387,12 @@ def _scaled_sums(g: PackedCouplings, rad_log: np.ndarray) -> np.ndarray:
     p-sum of pair (l, l') ends at P = l + l' + 1 and k_p increases with p,
     so each scaled term is at most |G|.  One matmul over the batch
     contracts the pairs of one anti-diagonal (equal P).
+
+    Accuracy: the p-sums cancel more as q grows.  Times k_P, against a
+    50-digit sum of the same coupling tensors (m = 3, l_max 8) the sums
+    are within 7.5e-14 (q = 100) and 3.1e-13 (200) of their largest
+    value, the worst one within 1.0e-12 and 5.2e-12 relative, 1.3e-10 at
+    q = 1e3.
     """
     off = antidiagonal_pairs(g.n)[2]
     sums = np.zeros((rad_log.shape[0], 2, off[-1]))
@@ -465,51 +422,6 @@ def _unpack_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.block([[k, k + npair * (1 + low)],
                     [k + npair * (2 - low), k + 3 * npair]])
     return idx, np.tile(np.where(low, (-1.0) ** (lo + hi), 1.0), (2, 2))
-
-
-def translation_block(m: int, kappa_d: float, l_max: int) -> TranslationBlock:
-    """Scaled translation block for azimuthal index m.
-
-    Populates both polarization-preserving (M->M, E->E) and mixing
-    (M->E, E->M) couplings for max(|m|, 1) <= l, l' <= l_max, scaled by
-    exp(-kappa_d).  For m < 0 the mixing sector flips sign relative to +|m|.
-    The entries are the round-trip assembly's scaled anti-diagonal sums
-    (:func:`_scaled_sums`) times k_P, mirrored to l > l'.
-
-    Accuracy: the p-sums cancel more as kappa_d grows.  Against a 50-digit
-    sum of the same coupling tensors (m = 3, l_max 8) the block is within
-    7.5e-14 (kappa_d = 100) and 3.1e-13 (200) of its largest entry, the
-    worst entry within 1.0e-12 and 5.2e-12 relative, 1.3e-10 at 1e3.
-
-    Raises
-    ------
-    OverflowError
-        If an entry leaves the float64 range: entries grow like
-        (2P-1)!! / kappa_d^{P+1}, past 1e308 below kappa_d = 0.049 at
-        l_max 48.
-    """
-    if kappa_d <= 0:
-        raise ValueError("kappa_d must be > 0")
-    if abs(m) > l_max:
-        raise ValueError(f"|m|={abs(m)} exceeds l_max={l_max}: empty block")
-    l0 = max(1, abs(m))
-    n = l_max - l0 + 1
-    rad_log = _radial_ladder(np.array([kappa_d]), l_max)
-    sums = _scaled_sums(coupling_tensors(abs(m), l0, l_max), rad_log)[0]
-    i, j = antidiagonal_pairs(n)[:2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = sums[[[0, 1], [1, 0]]] * np.exp(rad_log[0, 2 * l0 + 1 + i + j])
-    idx, mirror = _unpack_index(n)
-    entries = half.ravel()[idx] * mirror
-    if not np.all(np.isfinite(entries)):
-        raise OverflowError(
-            "scaled translation entries overflow float64 at "
-            f"kappa_d={kappa_d:g}, l_max={l_max}; use the round-trip API")
-    if m < 0:
-        entries[:n, n:] *= -1.0
-        entries[n:, :n] *= -1.0
-    return TranslationBlock(m=m, kappa_d=kappa_d, l_max=l_max, l_min=l0,
-                            entries=entries, scaling_exponent=-kappa_d)
 
 
 @dataclass(frozen=True)

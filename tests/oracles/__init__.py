@@ -4,7 +4,9 @@ Nothing in here imports from ``casimir_spheres`` numerical kernels: Bessel
 values come from explicit finite closed-form sums in mpmath arithmetic,
 Wigner symbols from exact rational arithmetic (sympy), determinants from a
 direct unscaled assembly.  Oracle values are frozen as decimal strings in
-``tests/testdata`` by ``gen_testdata.py``.
+``tests/testdata`` by ``gen_testdata.py``.  The one exception is
+``translation``: the physical translation block U, summed entry by entry
+from the production coupling tensors, which production never forms.
 """
 
 from .result import OracleResult

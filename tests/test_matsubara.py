@@ -206,7 +206,7 @@ def test_table_evaluates_each_frequency_once_and_slopes_on_first_use(
 
 
 def test_thermo_curve_builds_slopes_for_the_central_table_only(monkeypatch):
-    """The tables at r (1 +- delta_r) are read only through e_ad."""
+    """The tables at r (1 +- 1e-3) are read only through e_ad."""
     made = []
 
     class Recording(mats.DeterminantTable):
@@ -215,7 +215,7 @@ def test_thermo_curve_builds_slopes_for_the_central_table_only(monkeypatch):
             made.append((self, self.freqs_evaluated))
 
     monkeypatch.setattr(thermo, "DeterminantTable", Recording)
-    thermo.build_thermo_curve(0.3, np.geomspace(0.5, 5.0, 5), with_force=True)
+    thermo.build_thermo_curve(0.3, np.geomspace(0.5, 5.0, 5))
     assert len(made) == 3
     grown = [tab.freqs_evaluated - n0 for tab, n0 in made]
     assert grown == [2 * made[0][0]._q.size, 0, 0]
@@ -239,10 +239,6 @@ class TestDeterminantTable:
         for z in (0.5, 1.0, 2.0, 5.0):
             assert table.s_ad(z) == pytest.approx(float(asy.s_ad(z)),
                                                   rel=2e-2, abs=6e-3)
-
-    def test_zero_t_integral(self, table):
-        quad = mats.zero_T_energy_ad(0.02, tol=1e-7)
-        assert table.e_ad_zero_T() == pytest.approx(quad, rel=1e-5)
 
     def test_classical_anchor(self, table):
         s_cl = -table.g0 / (2.0 * 0.02**6)

@@ -7,6 +7,7 @@ from casimir_spheres import roundtrip as rt
 from casimir_spheres import scattering, translation
 from casimir_spheres.errors import NonConvergenceError, SpectralRadiusError
 from casimir_spheres.geometry import Geometry
+from oracles.translation import direct_block, expand
 
 
 def test_vanishing_radius_limit():
@@ -81,9 +82,10 @@ def test_block_m_symmetry():
 
     The -m block flips the sign of the mixing sector, a similarity by
     diag(1, -1) over (M, E) that commutes with T and with the parity D.
-    Both N here are built from the physical translation blocks and the
-    same T diagonal; :func:`roundtrip._block_logdets` instead builds the
-    scaled A~ by its own kernel and takes the spectrum of M.
+    Both N here are built from the physical translation block U12 of the
+    direct p-sum, U21 = D U12 D and the same T diagonal;
+    :func:`roundtrip._block_logdets` instead builds the scaled A~ by its
+    own kernel and takes the spectrum of M.
     """
     geo = Geometry.from_ratio(0.3)
     kappa, l_max = 1.0, 4
@@ -95,12 +97,11 @@ def test_block_m_symmetry():
         t = np.concatenate([-np.exp(lt_m[0, m - 1:] + 2.0 * y),
                             np.exp(lt_e[0, m - 1:] + 2.0 * y)])
         eye = np.eye(t.size)
+        d = translation.parity_signs(m, l_max)
         logdets = []
         for mm in (m, -m):
-            blk = translation.translation_block(mm, kappa * geo.d, l_max)
-            scale = math.exp(blk.scaling_exponent)
-            u12 = blk.entries * scale
-            u21 = blk.reversed().entries * scale
+            u12 = direct_block(mm, q[0], l_max) * math.exp(-q[0])
+            u21 = d[:, None] * u12 * d[None, :]
             sign, logabs = np.linalg.slogdet(
                 eye - (t[:, None] * u12) @ (t[:, None] * u21))
             assert sign > 0.0
@@ -217,7 +218,7 @@ def _full_atilde_reference(m, l_max, q, r, lt_m, lt_e):
     from casimir_spheres.specfun import log_khat_spherical_ladder_vec
     l0 = max(1, m)
     n = l_max - l0 + 1
-    ga, gb = translation.coupling_tensors(m, l0, l_max).expand()
+    ga, gb = expand(translation.coupling_tensors(m, l0, l_max))
     ps = np.arange(ga.shape[2])
     qa = np.array([q])
     rad = (math.log(math.pi / 2.0) + log_khat_spherical_ladder_vec(ps[-1], qa)[0]

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from casimir_spheres import specfun
 from casimir_spheres import translation as tr
 from casimir_spheres.translation import (coupling_tensors,
                                          dipole_translation_limit,
-                                         parity_signs, translation_block,
                                          wigner3j_000)
+from oracles.translation import direct_block, expand
 
 
 def exact_w3j(l1, l2, p, m1, m2, m3):
@@ -39,65 +38,18 @@ def test_wigner_mseq_exact():
 
 def test_block_requires_m_within_l_max():
     with pytest.raises(ValueError):
-        translation_block(4, 1.0, 3)
+        coupling_tensors(4, 4, 3)
     with pytest.raises(ValueError):
-        translation_block(0, 0.0, 3)
-
-
-def test_m_conservation_structure():
-    """Assembling the full operator from per-m blocks leaves no m-mixing
-    entries: channels with m != m' are never even represented."""
-    l_max = 3
-    blocks = {m: translation_block(m, 1.3, l_max) for m in range(-l_max, l_max + 1)}
-    # full channel list (l, m, P): the full matrix is block diagonal by m
-    dims = {m: blocks[m].entries.shape[0] for m in blocks}
-    total = sum(dims.values())
-    full = np.zeros((total, total))
-    offset = {}
-    pos = 0
-    for m in sorted(blocks):
-        offset[m] = pos
-        n = dims[m]
-        full[pos:pos + n, pos:pos + n] = blocks[m].entries
-        pos += n
-    for m1 in sorted(blocks):
-        for m2 in sorted(blocks):
-            if m1 == m2:
-                continue
-            sub = full[offset[m1]:offset[m1] + dims[m1],
-                       offset[m2]:offset[m2] + dims[m2]]
-            assert np.all(sub == 0.0)
-
-
-def test_parity_relation_entrywise():
-    blk = translation_block(2, 3.7, 6)
-    rev = blk.reversed()
-    d = parity_signs(blk.l_min, blk.l_max)
-    expect = d[:, None] * blk.entries * d[None, :]
-    assert np.max(np.abs(rev.entries - expect)) <= 1e-13 * np.max(np.abs(expect))
-    # polarization-preserving sector: U21 = (-1)^{l+l'} U12
-    n = blk.n_l
-    ls = np.arange(blk.l_min, blk.l_max + 1)
-    par = (-1.0) ** (ls[:, None] + ls[None, :])
-    assert np.allclose(rev.entries[:n, :n], par * blk.entries[:n, :n],
-                       rtol=1e-13, atol=0)
-
-
-def test_negative_m_flips_cross_sector():
-    for m in (1, 2):
-        plus = translation_block(m, 2.2, 5)
-        minus = translation_block(-m, 2.2, 5)
-        n = plus.n_l
-        assert np.allclose(plus.entries[:n, :n], minus.entries[:n, :n], rtol=1e-14)
-        assert np.allclose(plus.entries[:n, n:], -minus.entries[:n, n:], rtol=1e-14)
+        coupling_tensors(0, 0, 3)
+    with pytest.raises(ValueError):
+        coupling_tensors(-1, 1, 3)
 
 
 def test_dipole_closed_forms_match_assembly():
     for q in (0.4, 1.0, 7.0, 25.0):
         dip = dipole_translation_limit(q)
         for m in (-1, 0, 1):
-            blk = translation_block(m, q, 1)
-            ent = blk.entries * math.exp(blk.scaling_exponent)
+            ent = direct_block(m, q, 1) * math.exp(-q)
             assert np.allclose(ent, dip.block(m), rtol=1e-12, atol=1e-300)
 
 
@@ -111,50 +63,28 @@ def test_dipole_static_divergence_and_decay():
         1.5 * math.exp(-big_q) * (1 + big_q + big_q**2) / big_q**3, rel=1e-12)
 
 
-def _direct_block(m, x, l_max, radial):
-    """Full 2n x 2n block of one m >= 0 by a direct p-sum over the
-    expanded coupling tensors, both halves summed, no scaling by k_P.
-
-    ``radial='outgoing'`` sums k_p(x) e^{+x} and gives the scaled
-    out-to-regular block of :func:`translation_block`.  ``'regular'`` sums
-    i_p(x) and gives the regular-to-regular block R (R(0) = I): relative to
-    the outgoing sum the radial rotation leaves a factor -(pi/2) (-1)^p,
-    the latter acting as a parity conjugation, and the destination gauge
-    sign folded into the tensors is mirrored on the source side.
-    """
+def _production_half(m, x, l_max):
+    """The production sums :func:`translation._scaled_sums` times k_P: the
+    pairs l <= l' of U e^x, [0] preserving and [1] mixing, and their
+    indices (i, j) = (l - l0, l' - l0)."""
     l0 = max(1, m)
-    ga, gb = coupling_tensors(m, l0, l_max).expand()
-    xs = np.array([x])
-    if radial == "outgoing":
-        rad = np.exp(tr._radial_ladder(xs, l_max)[0])
-    else:
-        rad = np.exp(specfun.log_scaled_iv_ladder_vec(ga.shape[2] - 1, xs)[0]
-                     + 0.5 * math.log(math.pi / (2.0 * x)) + x)
-    same, cross = ga @ rad, gb @ rad
-    out = np.block([[same, cross], [cross, same]])
-    if radial == "regular":
-        d = parity_signs(l0, l_max)
-        ls = np.arange(l0, l_max + 1)
-        lam = np.concatenate([np.where(ls % 2 == 0, -1.0, 1.0)] * 2)
-        out = -(math.pi / 2.0) * (d * lam)[:, None] * out * d[None, :]
-    return out
+    g = coupling_tensors(m, l0, l_max)
+    rad_log = tr._radial_ladder(np.array([x]), l_max)
+    i, j = tr.antidiagonal_pairs(g.n)[:2]
+    k_big_p = np.exp(rad_log[0, 2 * l0 + 1 + i + j])
+    return tr._scaled_sums(g, rad_log)[0] * k_big_p, i, j
 
 
 @pytest.mark.parametrize("x", [3.0, 30.0])
 @pytest.mark.parametrize("m", [0, 1, 7])
 def test_translation_block_matches_direct_p_sum(m, x):
-    """The block built from the round-trip assembly's scaled anti-diagonal
-    sums, mirrored to l > l', equals the direct p-sum of every entry."""
-    blk = translation_block(m, x, 48)
-    ref = _direct_block(m, x, 48, "outgoing")
-    assert (np.max(np.abs(blk.entries - ref))
-            <= 1e-13 * np.max(np.abs(ref))), (m, x)
-
-
-def test_translation_block_raises_when_entries_overflow():
-    """At kappa_d = 1e-3 and l_max 48, k_P e^{kappa_d} passes 1e308."""
-    with pytest.raises(OverflowError, match="overflow"):
-        translation_block(1, 1e-3, 48)
+    """The round-trip assembly's scaled anti-diagonal sums, times k_P,
+    equal the direct p-sum of every entry of the translation block."""
+    half, i, j = _production_half(m, x, 48)
+    ref = direct_block(m, x, 48)
+    n = ref.shape[0] // 2
+    err = half - np.stack([ref[i, j], ref[i, n + j]])
+    assert np.max(np.abs(err)) <= 1e-13 * np.max(np.abs(ref)), (m, x)
 
 
 def test_translation_composition_semigroup():
@@ -164,9 +94,9 @@ def test_translation_composition_semigroup():
     x1, x2 = 0.6, 2.0
     for m in (0, 1, 2, 3):
         l0 = max(1, m)
-        u_tot = translation_block(m, x1 + x2, l_in).entries * math.exp(-(x1 + x2))
-        r1 = _direct_block(m, x1, l_in, "regular")
-        u2 = translation_block(m, x2, l_in).entries * math.exp(-x2)
+        u_tot = direct_block(m, x1 + x2, l_in) * math.exp(-(x1 + x2))
+        r1 = direct_block(m, x1, l_in, "regular")
+        u2 = direct_block(m, x2, l_in) * math.exp(-x2)
         comp = u2 @ r1
         n = l_in - l0 + 1
         k = l_out - l0 + 1
@@ -186,47 +116,81 @@ def test_translation_composition_semigroup():
 
 def test_regular_block_identity_at_zero():
     for m in (0, 2):
-        r_blk = _direct_block(m, 1e-9, 5, "regular")
+        r_blk = direct_block(m, 1e-9, 5, "regular")
         assert np.max(np.abs(r_blk - np.eye(r_blk.shape[0]))) < 1e-7
 
 
 def test_entries_finite_at_large_kappa_d():
-    blk = translation_block(1, 1e4, 4)
-    assert np.all(np.isfinite(blk.entries))
-    assert blk.scaling_exponent == -1e4
+    """At kappa_d = 1e4 the physical entries underflow; scaled by
+    e^{kappa_d} they stay finite."""
+    half, _, _ = _production_half(1, 1e4, 4)
+    assert np.all(np.isfinite(half)) and np.any(half)
 
 
 @pytest.mark.parametrize("x", [100.0, 200.0])
 def test_translation_block_against_50_digit_p_sum(x):
     """At kappa_d of the production tables (q_max = 117 at r = 0.41) the
-    block matches a 50-digit p-sum of the same float coupling tensors with
-    exact radial factors k_p(x) e^x = sqrt(pi / 2x) K_{p+1/2}(x) e^x:
-    within 1e-12 of the block maximum (measured 7.5e-14 at 100 and 3.1e-13
-    at 200) and 2e-11 per entry (measured 1.0e-12 and 5.2e-12)."""
+    scaled sums times k_P match a 50-digit p-sum of the same float coupling
+    tensors with exact radial factors k_p(x) e^x = sqrt(pi / 2x)
+    K_{p+1/2}(x) e^x: within 1e-12 of the block maximum (measured 7.5e-14
+    at 100 and 3.1e-13 at 200) and 2e-11 per entry (measured 1.0e-12 and
+    5.2e-12)."""
     import mpmath as mp
     m, l_max = 3, 8
-    ga, gb = coupling_tensors(m, m, l_max).expand()
+    half, i, j = _production_half(m, x, l_max)
+    ga, gb = expand(coupling_tensors(m, m, l_max))
     with mp.workdps(50):
         xm = mp.mpf(x)
         rad = [mp.sqrt(mp.pi / (2 * xm)) * mp.besselk(p + mp.mpf(1) / 2, xm)
                * mp.exp(xm) for p in range(ga.shape[2])]
 
         def p_sum(g):
-            return np.array([[float(mp.fsum(mp.mpf(float(v)) * k
-                                            for v, k in zip(row, rad)))
-                              for row in rows] for rows in g])
+            return [float(mp.fsum(mp.mpf(float(v)) * k
+                                  for v, k in zip(g[a, b], rad)))
+                    for a, b in zip(i, j)]
 
-        same, cross = p_sum(ga), p_sum(gb)
-    ref = np.block([[same, cross], [cross, same]])
-    err = np.abs(translation_block(m, x, l_max).entries - ref)
+        ref = np.array([p_sum(ga), p_sum(gb)])
+    err = np.abs(half - ref)
     assert np.max(err) <= 1e-12 * np.max(np.abs(ref))
     assert np.max(err / np.abs(ref)) <= 2e-11
 
 
+def _formula_tensors(m, l0, l_max):
+    """GA and GB on every (l, l', p), shape (n, n, 2 l_max + 2), from the
+    formula of the module docstring: Wigner symbols times the prefactor,
+    with no packing and no mirror."""
+    ls = np.arange(l0, l_max + 1)
+    n, p_len = ls.size, 2 * l_max + 2
+    L, Lp = (a.ravel()[:, None] for a in np.meshgrid(ls, ls, indexing="ij"))
+    p = np.arange(p_len)[None, :]
+    w0 = wigner3j_000(L, Lp, p)
+    wm = w0 if m == 0 else tr._wigner3j_mseq(m, L[:, 0], Lp[:, 0], p_len)
+    w0_prev = np.zeros_like(w0)               # (l, l', p - 1; 0, 0, 0)
+    w0_prev[:, 1:] = w0[:, :-1]
+    pref = (-(-1.0) ** m * (-1.0) ** (Lp + 1) / math.pi
+            * np.sqrt((2 * L + 1) * (2 * Lp + 1) / (L * (L + 1) * Lp * (Lp + 1))))
+    lam = L * (L + 1) + Lp * (Lp + 1)
+    ga = pref * (2 * p + 1) * (lam - p * (p + 1)) * wm * w0
+    gb = (pref * (2 * p + 1) * wm * w0_prev * np.sqrt(np.maximum(
+        ((L + Lp + 1) ** 2 - p ** 2) * (p ** 2 - (L - Lp) ** 2), 0)))
+    return ga.reshape(n, n, p_len), gb.reshape(n, n, p_len)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 20])
+def test_packed_tensors_match_their_formula(m):
+    """The packed tensors, unpacked, equal the docstring formula on every
+    (l, l', p), both halves (l_max 48, within 1e-13 of each maximum)."""
+    l0, l_max = max(1, m), 48
+    got = expand(coupling_tensors(m, l0, l_max))
+    for name, g, f in zip("AB", got, _formula_tensors(m, l0, l_max)):
+        assert np.max(np.abs(g - f)) <= 1e-13 * np.max(np.abs(f)), name
+
+
 def test_coupling_tensor_transposition():
-    """Couplings obey U[l', l] = (-1)^{l+l'} U[l, l'] in both sectors."""
+    """The formula obeys U[l', l] = (-1)^{l+l'} U[l, l'] in both sectors,
+    the rule by which only the pairs l <= l' are held."""
     l0, l_max = 2, 6
-    ga, gb = coupling_tensors(2, l0, l_max).expand()
+    ga, gb = _formula_tensors(2, l0, l_max)
     ls = np.arange(l0, l_max + 1)
     par = (-1.0) ** (ls[:, None] + ls[None, :])
     assert np.allclose(np.swapaxes(ga, 0, 1), par[:, :, None] * ga,
@@ -254,10 +218,10 @@ def test_wigner_mseq_exact_at_production_l(l, lp, m):
 
 @pytest.mark.parametrize("m", [0, 1, 7])
 def test_coupling_tensor_mirror_half_at_l_max_57(m):
-    """The l > l' half of the tensors is the mirror of the l <= l' half;
-    the Wigner symbols behind it are symmetric in (l, l')."""
+    """The l > l' half of the formula's tensors is the mirror of the
+    l <= l' half; the Wigner symbols behind it are symmetric in (l, l')."""
     l0, l_max = max(1, m), 57
-    ga, gb = coupling_tensors(m, l0, l_max).expand()
+    ga, gb = _formula_tensors(m, l0, l_max)
     ls = np.arange(l0, l_max + 1)
     par = (-1.0) ** (ls[:, None] + ls[None, :])
     lower = np.tril_indices(ls.size, -1)
